@@ -24,7 +24,7 @@ from .dictionary import (
     evaluate_design,
     normalize_columns,
 )
-from .greedy import Criterion, TerminationRule, correlation, select_atom, should_stop
+from .greedy import Criterion, correlation, select_atom
 
 __all__ = [
     "Criterion",
@@ -37,7 +37,6 @@ __all__ = [
     "MethodSpec",
     "RbfSpec",
     "SparseModel",
-    "TerminationRule",
     "build_rbf_from_samples",
     "build_rbf_uniform",
     "correlation",
@@ -54,11 +53,10 @@ __all__ = [
     "oracle_select",
     "predict",
     "select_atom",
-    "should_stop",
     "split_half",
     "sweep",
     "validate_dataset",
     "zscore_fit_apply",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

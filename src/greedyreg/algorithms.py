@@ -21,13 +21,7 @@ from .core import (
     SparseModel,
 )
 from .dictionary import RbfSpec, evaluate_atoms
-from .greedy import (
-    ZERO_RESIDUAL_RTOL,
-    Criterion,
-    correlation,
-    select_atom,
-    validate_delta,
-)
+from .greedy import Criterion, correlation, select_atom, validate_delta
 from .linalg import (
     DegenerateColumn,
     ProjectionState,
@@ -36,6 +30,9 @@ from .linalg import (
     solve_coefficients,
     truncate_values,
 )
+
+# Residuals below this fraction of the target norm count as exactly fit.
+ZERO_RESIDUAL_RTOL = 1e-12
 
 
 class IndexOutOfRange(IndexError):
@@ -100,7 +97,9 @@ def _check_target(y) -> float:
 
 
 def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
-    """Shared OGL-family loop; k_cap and ratio_delta select the stop rule."""
+    """Shared OGL-family loop and the one stop rule; k_cap and ratio_delta select its clauses."""
+    if k_cap is not None and not 1 <= k_cap <= dm.n:
+        raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
     y = np.asarray(y, dtype=float)
     y_norm = _check_target(y)
     state = ProjectionState(y)
@@ -153,8 +152,6 @@ def fit_ogl(dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None) -> 
     """Orthogonal greedy fit with an unthresholded criterion, k_max steps."""
     if criterion.thresholded:
         raise ValueError("fit_ogl takes an unthresholded criterion; see fit_togl")
-    if not 1 <= k_max <= dm.n:
-        raise ValueError(f"k_max must be in [1, {dm.n}], got {k_max}")
     return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng)
 
 
@@ -164,8 +161,6 @@ def fit_togl(
     """Orthogonal greedy fit with thresholded selection and an iteration cap."""
     if not criterion.thresholded:
         raise ValueError("fit_togl requires a thresholded criterion")
-    if not 1 <= k_max <= dm.n:
-        raise ValueError(f"k_max must be in [1, {dm.n}], got {k_max}")
     return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng)
 
 

@@ -55,13 +55,6 @@ def fit_ridge(dm: DesignMatrix, y, lam: float) -> DenseModel:
     return DenseModel(coef, lam)
 
 
-def soft_threshold(v: float, t: float) -> float:
-    """sign(v) * max(|v| - t, 0)."""
-    if t < 0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
-    return float(np.sign(v) * max(abs(v) - t, 0.0))
-
-
 def _soft_threshold_vec(values, t):
     return np.sign(values) * np.maximum(np.abs(values) - t, 0.0)
 

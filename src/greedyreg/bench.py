@@ -9,7 +9,9 @@ and regularization sweeps rerun the fit per grid point.
 """
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from . import algorithms, baselines
 from .core import FIXED_K, DesignMatrix, FitReport
 from .data import gen_sinc, load_csv, split_half, zscore_fit_apply
 from .dictionary import (
-    RbfSpec,
     build_rbf_from_samples,
     build_rbf_uniform,
     evaluate_atoms,
@@ -26,9 +27,6 @@ from .dictionary import (
 )
 from .greedy import Criterion
 from .linalg import empirical_norm, rmse, truncate_values
-
-GREEDY_ALGORITHMS = ("ogl", "togl", "dtogl", "pgl")
-DENSE_ALGORITHMS = ("ridge", "fista")
 
 _K_SWEEP_CAP = 300
 DEFAULT_DELTA_GRID = (1e-6, 0.5, 50)
@@ -47,19 +45,9 @@ REPORT_COLUMNS = (
     "seconds",
 )
 
-_CRITERIA_BY_ALGO = {
-    "ogl": ("max", "max2", "max3", "rand"),
-    "togl": ("max", "max2", "max3", "rand", "first"),
-    "dtogl": ("max", "max2", "max3", "rand", "first"),
-}
-
 
 class EmptyTable(ValueError):
     """Oracle selection over zero rows."""
-
-
-class IoError(OSError):
-    """Report emission failed at the filesystem level."""
 
 
 def time_fit(thunk):
@@ -67,6 +55,59 @@ def time_fit(thunk):
     start = time.perf_counter()
     result = thunk()
     return result, time.perf_counter() - start
+
+
+class _Algorithm(NamedTuple):
+    """Per-algorithm facts read by MethodSpec, the sweep and the CLI.
+
+    ``criteria`` are the accepted selection criteria, default first (none
+    if empty).  ``grid`` names the ExperimentConfig grid swept: a "k" grid
+    is read off one capped fit at every prefix, other grids refit per
+    point.  ``fit(dm, y, param, criterion, rng, config)`` runs one fit; it
+    looks the fitting function up on its module at call time, so that a
+    replaced module attribute (as in tracing) takes effect.
+    """
+
+    criteria: tuple
+    grid: str
+    fit: Callable
+
+
+_RANKED = ("max", "max2", "max3", "rand")
+_ALGORITHMS = {
+    "ogl": _Algorithm(
+        _RANKED,
+        "k",
+        lambda dm, y, k, crit, rng, config: algorithms.fit_ogl(
+            dm, y, Criterion(crit), min(k, dm.n), rng
+        ),
+    ),
+    "pgl": _Algorithm(
+        (),
+        "k",
+        lambda dm, y, k, crit, rng, config: algorithms.fit_pgl(dm, y, min(k, config.pgl_cap)),
+    ),
+    "togl": _Algorithm(
+        _RANKED + ("first",),
+        "delta",
+        lambda dm, y, delta, crit, rng, config: algorithms.fit_togl(
+            dm, y, Criterion(crit, delta), min(dm.n, _K_SWEEP_CAP), rng
+        ),
+    ),
+    "dtogl": _Algorithm(
+        ("first",) + _RANKED,
+        "delta",
+        lambda dm, y, delta, crit, rng, config: algorithms.fit_delta_togl(
+            dm, y, delta, crit, rng
+        ),
+    ),
+    "ridge": _Algorithm(
+        (), "lambda", lambda dm, y, lam, crit, rng, config: baselines.fit_ridge(dm, y, lam)
+    ),
+    "fista": _Algorithm(
+        (), "lambda", lambda dm, y, lam, crit, rng, config: baselines.fit_fista(dm, y, lam)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -78,24 +119,28 @@ class MethodSpec:
     param: float | None = None
 
     def __post_init__(self):
-        if self.algorithm in _CRITERIA_BY_ALGO:
-            crit = self.criterion or ("first" if self.algorithm == "dtogl" else "max")
-            if crit not in _CRITERIA_BY_ALGO[self.algorithm]:
-                raise ValueError(
-                    f"{self.algorithm} does not support criterion {crit!r}"
-                )
-            object.__setattr__(self, "criterion", crit)
-        elif self.algorithm in ("pgl",) + DENSE_ALGORITHMS:
+        if self.algorithm not in _ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        criteria = _ALGORITHMS[self.algorithm].criteria
+        if not criteria:
             if self.criterion is not None:
                 raise ValueError(f"{self.algorithm} takes no criterion")
-        else:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            return
+        crit = self.criterion or criteria[0]
+        if crit not in criteria:
+            raise ValueError(f"{self.algorithm} does not support criterion {crit!r}")
+        object.__setattr__(self, "criterion", crit)
 
     @property
     def label(self) -> str:
         if self.criterion is None:
             return self.algorithm
         return f"{self.algorithm}:{self.criterion}"
+
+    @property
+    def grid(self) -> str:
+        """Name of the grid this method sweeps: "k", "delta" or "lambda"."""
+        return _ALGORITHMS[self.algorithm].grid
 
 
 def parse_method(text: str) -> MethodSpec:
@@ -155,27 +200,16 @@ class ExperimentConfig:
         return self
 
 
-def _resolve_grids(config: ExperimentConfig, n_dict: int) -> dict:
-    if config.k_grid is not None:
-        k_grid = [int(k) for k in config.k_grid]
-    else:
-        k_grid = list(range(0, min(n_dict, _K_SWEEP_CAP) + 1))
-    if config.delta_grid is not None:
-        delta_grid = [float(d) for d in config.delta_grid]
-    else:
-        delta_grid = list(np.geomspace(*DEFAULT_DELTA_GRID))
-    if config.lambda_grid is not None:
-        lam_grid = [float(lam) for lam in config.lambda_grid]
-    else:
-        lam_grid = list(np.geomspace(*DEFAULT_LAMBDA_GRID))
-    return {
-        "ogl": k_grid,
-        "pgl": k_grid,
-        "togl": delta_grid,
-        "dtogl": delta_grid,
-        "ridge": lam_grid,
-        "fista": lam_grid,
-    }
+def _resolve_grid(config: ExperimentConfig, name: str, n_dict: int) -> list:
+    grid = getattr(config, f"{name}_grid")
+    if name == "k":
+        if grid is None:
+            return list(range(0, min(n_dict, _K_SWEEP_CAP) + 1))
+        return [int(k) for k in grid]
+    if grid is None:
+        default = DEFAULT_DELTA_GRID if name == "delta" else DEFAULT_LAMBDA_GRID
+        return list(np.geomspace(*default))
+    return [float(value) for value in grid]
 
 
 @dataclass
@@ -184,7 +218,6 @@ class _Cell:
 
     dm_fit: DesignMatrix
     test_columns: np.ndarray
-    spec: RbfSpec
     y: np.ndarray
     y_norm: float
     y_test: np.ndarray
@@ -216,7 +249,6 @@ def _prepare_cell(config, full_dataset, sigma_idx, seed) -> _Cell:
     return _Cell(
         dm_fit=dm_fit,
         test_columns=test_columns,
-        spec=spec,
         y=y,
         y_norm=empirical_norm(y),
         y_test=test.targets,
@@ -226,149 +258,87 @@ def _prepare_cell(config, full_dataset, sigma_idx, seed) -> _Cell:
     )
 
 
-def _test_rmse(cell: _Cell, predictions) -> float:
-    clipped = truncate_values(predictions, cell.bound)
-    return rmse(clipped, cell.y_test) * cell.rmse_scale
+class _Run(NamedTuple):
+    """One method on one (sigma, seed) cell, and the report rows of its fits."""
 
+    method: MethodSpec
+    cell: _Cell
+    sigma: float | None
+    seed: int
 
-def _prefix_rows(method, grid, cell, trace, seconds, sigma, seed):
-    """One row per requested k, all derived from a single capped fit."""
-    preds = algorithms.prefix_predictions(trace, cell.test_columns, grid)
-    rows = []
-    for k in grid:
-        k_eff = min(int(k), trace.k_fitted)
-        model = trace.prefix_model(k_eff)
-        train_res = cell.y_norm if k_eff == 0 else trace.residual_norms[k_eff - 1]
-        termination = FIXED_K if k_eff < trace.k_fitted else trace.termination_reason
-        rows.append(
-            FitReport(
-                method=method.label,
-                parameter=int(k),
-                sigma=sigma,
-                seed=seed,
-                test_rmse=_test_rmse(cell, preds[int(k)]),
-                train_rmse=train_res * cell.rmse_scale,
-                sparsity=model.sparsity,
-                iterations=k_eff,
-                termination=termination,
-                seconds=seconds,
-            )
+    def row(self, param, test_rmse, train_rmse, sparsity, iterations, termination, seconds):
+        """The one report-row constructor; RMSEs come in fitted-target units."""
+        scale = self.cell.rmse_scale
+        return FitReport(
+            self.method.label, param, self.sigma, self.seed, test_rmse * scale,
+            train_rmse * scale, sparsity, iterations, termination, seconds,
         )
-    return rows
+
+    def test_rmse(self, predictions):
+        return rmse(truncate_values(predictions, self.cell.bound), self.cell.y_test)
+
+    def failed_row(self, param, exc):
+        inf = float("inf")
+        return self.row(param, inf, inf, 0, 0, f"error:{type(exc).__name__}", 0.0)
+
+    def prefix_rows(self, grid, trace, seconds):
+        """One row per requested k, all derived from a single capped fit."""
+        preds = algorithms.prefix_predictions(trace, self.cell.test_columns, grid)
+        rows = []
+        for k in grid:
+            k_eff = min(k, trace.k_fitted)
+            train_res = trace.residual_norms[k_eff - 1] if k_eff else self.cell.y_norm
+            termination = FIXED_K if k_eff < trace.k_fitted else trace.termination_reason
+            sparsity = trace.prefix_model(k_eff).sparsity
+            test_rmse = self.test_rmse(preds[k])
+            rows.append(self.row(k, test_rmse, train_res, sparsity, k_eff, termination, seconds))
+        return rows
+
+    def model_row(self, param, trace, seconds):
+        model = trace.final_model()
+        pred = self.cell.test_columns[:, list(model.selected)] @ model.coefficients
+        train_res = trace.residual_norms[-1] if trace.residual_norms else self.cell.y_norm
+        return self.row(
+            param, self.test_rmse(pred), train_res, model.sparsity, trace.iterations,
+            trace.termination_reason, seconds,
+        )
+
+    def dense_row(self, param, model, seconds):
+        dm = self.cell.dm_fit
+        pred = self.cell.test_columns @ dm.to_raw_coefficients(model.coefficients)
+        train_res = rmse(dm.columns @ model.coefficients, self.cell.y)
+        # A closed-form solve (no iterations) counts one iteration per atom.
+        iterations = model.iterations_used or dm.n
+        return self.row(
+            param, self.test_rmse(pred), train_res, model.sparsity(), iterations, FIXED_K, seconds
+        )
 
 
-def _model_row(method, param, cell, trace, seconds, sigma, seed):
-    model = trace.final_model()
-    pred = (
-        cell.test_columns[:, list(model.selected)] @ model.coefficients
-        if model.sparsity
-        else np.zeros(cell.y_test.shape[0])
-    )
-    train_res = trace.residual_norms[-1] if trace.residual_norms else cell.y_norm
-    return FitReport(
-        method=method.label,
-        parameter=param,
-        sigma=sigma,
-        seed=seed,
-        test_rmse=_test_rmse(cell, pred),
-        train_rmse=train_res * cell.rmse_scale,
-        sparsity=model.sparsity,
-        iterations=trace.iterations,
-        termination=trace.termination_reason,
-        seconds=seconds,
-    )
+def _run_method(run, grid, config, sigma_idx, method_idx):
+    algo = _ALGORITHMS[run.method.algorithm]
+    extra = run.cell.materialize_seconds if config.include_materialization else 0.0
 
+    def fit(param):
+        rng = np.random.default_rng([run.seed, 19, sigma_idx, method_idx])
+        dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
+        return time_fit(lambda: algo.fit(dm, y, param, crit, rng, config))
 
-def _dense_row(method, param, cell, model, seconds, sigma, seed):
-    coef_raw = cell.dm_fit.to_raw_coefficients(model.coefficients)
-    pred = cell.test_columns @ coef_raw
-    train_pred = cell.dm_fit.columns @ model.coefficients
-    iterations = model.iterations_used if method.algorithm == "fista" else cell.dm_fit.n
-    return FitReport(
-        method=method.label,
-        parameter=param,
-        sigma=sigma,
-        seed=seed,
-        test_rmse=_test_rmse(cell, pred),
-        train_rmse=rmse(train_pred, cell.y) * cell.rmse_scale,
-        sparsity=model.sparsity(),
-        iterations=iterations,
-        termination=FIXED_K,
-        seconds=seconds,
-    )
-
-
-def _failed_row(method, param, sigma, seed, exc) -> FitReport:
-    return FitReport(
-        method=method.label,
-        parameter=param,
-        sigma=sigma,
-        seed=seed,
-        test_rmse=float("inf"),
-        train_rmse=float("inf"),
-        sparsity=0,
-        iterations=0,
-        termination=f"error:{type(exc).__name__}",
-        seconds=0.0,
-    )
-
-
-def _run_method(method, grid, cell, config, sigma, sigma_idx, seed, method_idx):
-    extra = cell.materialize_seconds if config.include_materialization else 0.0
-    dm, y = cell.dm_fit, cell.y
-    algo = method.algorithm
-
-    if algo in ("ogl", "pgl"):
-        k_cap = max([1] + [int(k) for k in grid])
+    if algo.grid == "k":
         try:
-            if algo == "ogl":
-                rng = np.random.default_rng([seed, 19, sigma_idx, method_idx])
-                criterion = Criterion(method.criterion)
-                trace, seconds = time_fit(
-                    lambda: algorithms.fit_ogl(dm, y, criterion, min(k_cap, dm.n), rng)
-                )
-            else:
-                trace, seconds = time_fit(
-                    lambda: algorithms.fit_pgl(dm, y, min(k_cap, config.pgl_cap))
-                )
+            trace, seconds = fit(max([1] + grid))
         except Exception as exc:  # flagged rows, sweep continues
-            return [_failed_row(method, int(k), sigma, seed, exc) for k in grid]
-        return _prefix_rows(method, grid, cell, trace, seconds + extra, sigma, seed)
+            return [run.failed_row(k, exc) for k in grid]
+        return run.prefix_rows(grid, trace, seconds + extra)
 
+    make_row = run.model_row if algo.grid == "delta" else run.dense_row
     rows = []
     for param in grid:
         param = float(param)
         try:
-            if algo == "togl":
-                rng = np.random.default_rng([seed, 19, sigma_idx, method_idx])
-                criterion = Criterion(method.criterion, param)
-                k_cap = min(dm.n, _K_SWEEP_CAP)
-                trace, seconds = time_fit(
-                    lambda: algorithms.fit_togl(dm, y, criterion, k_cap, rng)
-                )
-                rows.append(
-                    _model_row(method, param, cell, trace, seconds + extra, sigma, seed)
-                )
-            elif algo == "dtogl":
-                rng = np.random.default_rng([seed, 19, sigma_idx, method_idx])
-                trace, seconds = time_fit(
-                    lambda: algorithms.fit_delta_togl(dm, y, param, method.criterion, rng)
-                )
-                rows.append(
-                    _model_row(method, param, cell, trace, seconds + extra, sigma, seed)
-                )
-            elif algo == "ridge":
-                model, seconds = time_fit(lambda: baselines.fit_ridge(dm, y, param))
-                rows.append(
-                    _dense_row(method, param, cell, model, seconds + extra, sigma, seed)
-                )
-            else:
-                model, seconds = time_fit(lambda: baselines.fit_fista(dm, y, param))
-                rows.append(
-                    _dense_row(method, param, cell, model, seconds + extra, sigma, seed)
-                )
+            result, seconds = fit(param)
+            rows.append(make_row(param, result, seconds + extra))
         except Exception as exc:
-            rows.append(_failed_row(method, param, sigma, seed, exc))
+            rows.append(run.failed_row(param, exc))
     return rows
 
 
@@ -388,17 +358,16 @@ def sweep(config: ExperimentConfig) -> list:
     else:
         n_dict = config.n
         sigma_values = list(config.sigmas)
-    grids = _resolve_grids(config, n_dict)
+
+    grids = [_resolve_grid(config, method.grid, n_dict) for method in config.methods]
 
     keyed = []
     for sigma_idx, sigma in enumerate(sigma_values):
         for seed in config.seeds:
             cell = _prepare_cell(config, full_dataset, sigma_idx, seed)
             for method_idx, method in enumerate(config.methods):
-                grid = grids[method.algorithm]
-                rows = _run_method(
-                    method, grid, cell, config, sigma, sigma_idx, seed, method_idx
-                )
+                run = _Run(method, cell, sigma, seed)
+                rows = _run_method(run, grids[method_idx], config, sigma_idx, method_idx)
                 for grid_pos, row in enumerate(rows):
                     keyed.append(((method_idx, sigma_idx, grid_pos, seed), row))
     keyed.sort(key=lambda pair: pair[0])
@@ -469,23 +438,6 @@ def oracle_select(rows, metric: str = "test_rmse") -> list:
 
 def _sigma_sort(sigma):
     return -1.0 if sigma is None else float(sigma)
-
-
-def total_fit_seconds(rows, method_label: str) -> float:
-    """Total fitting time a method spent across its sweep.
-
-    k-sweep methods (ogl, pgl) derive all their grid rows from one fit
-    per (sigma, seed), so their per-row seconds are shared; per-parameter
-    methods pay one fit per row.
-    """
-    mine = [r for r in rows if r.method == method_label]
-    algorithm = method_label.split(":", 1)[0]
-    if algorithm in ("ogl", "pgl"):
-        per_cell = {}
-        for r in mine:
-            per_cell[(r.sigma, r.seed)] = r.seconds
-        return float(sum(per_cell.values()))
-    return float(sum(r.seconds for r in mine))
 
 
 # --- report emission / loading ---
@@ -587,11 +539,8 @@ def render_report(rows, fmt: str = "csv", timing: bool = True) -> str:
 
 def emit_report(rows, path, fmt: str = "csv", timing: bool = True) -> None:
     text = render_report(rows, fmt, timing)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def load_report(path) -> list:

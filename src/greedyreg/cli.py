@@ -6,11 +6,14 @@ Subcommands:
   fit          run one method at one parameter and print its report
   report       re-aggregate an existing results CSV
 
-Flags can also come from a config file of flat key=value lines (keys are
-the long flag names with dashes or underscores); explicit flags win.
+Flags that take a value can also come from a config file of flat
+key=value lines (keys are the long flag names with dashes or underscores;
+any other key is an error); explicit flags win.
 """
 
 import argparse
+import dataclasses
+import functools
 import sys
 
 from .bench import (
@@ -21,6 +24,7 @@ from .bench import (
     render_report,
     sweep,
 )
+from .core import FitReport
 
 
 def _parse_float_list(text):
@@ -63,7 +67,10 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _CONFIG_PARSERS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -152,55 +159,46 @@ _CONFIG_PARSERS = {
 }
 
 
-def _merged_option(args, file_values, key, parse, default=None):
-    flag_value = getattr(args, key, None)
-    if flag_value is not None:
-        if isinstance(flag_value, str):
-            return parse(flag_value)
-        return flag_value
-    if key in file_values:
-        return parse(file_values[key])
-    return default
+def _merged_option(args, file_values, key, default=None):
+    """The explicit flag, else the config file's value, else ``default``; text is parsed."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = file_values.get(key, default)
+    return _CONFIG_PARSERS[key](value) if isinstance(value, str) else value
 
 
-def _bench_config(args) -> ExperimentConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    def opt(key, parse, default=None):
-        return _merged_option(args, file_values, key, _CONFIG_PARSERS.get(key, parse), default)
-
-    methods_text = opt("methods", str)
+def _bench_config(args, opt) -> ExperimentConfig:
+    methods_text = opt("methods")
     if not methods_text:
         raise ValueError("--methods is required (e.g. ogl:max,dtogl:first)")
     methods = [parse_method(part) for part in methods_text.split(",") if part.strip()]
-
-    seeds_text = opt("seeds", str, "1")
-    seeds = _parse_seeds(str(seeds_text))
+    for method in methods:
+        if method.param is not None:
+            raise ValueError(
+                f"bench sweeps a grid; drop '@{method.param:g}' from {method.label} "
+                f"and set --{method.grid}-grid instead"
+            )
 
     config = ExperimentConfig(
         task=args.task,
         methods=methods,
-        seeds=seeds,
+        seeds=_parse_seeds(opt("seeds", "1")),
         normalize_atoms=not args.raw_atoms,
+        k_grid=opt("k_grid"),
+        delta_grid=opt("delta_grid"),
+        lambda_grid=opt("lambda_grid"),
+        pgl_cap=opt("pgl_cap", ExperimentConfig.pgl_cap),
         include_materialization=args.include_materialization,
         timing=not args.no_timing,
     )
-    config.k_grid = opt("k_grid", _parse_k_grid)
-    config.delta_grid = opt("delta_grid", _parse_log_grid)
-    config.lambda_grid = opt("lambda_grid", _parse_log_grid)
-    pgl_cap = opt("pgl_cap", int)
-    if pgl_cap is not None:
-        config.pgl_cap = pgl_cap
-
     if args.task == "sinc":
-        config.m_train = opt("m_train", int, 1000)
-        config.m_test = opt("m_test", int, 1000)
-        config.n = opt("n", int, 300)
-        sigma = opt("sigma", _parse_float_list)
-        config.sigmas = sigma if sigma else [0.1, 0.5, 1.0, 2.0]
+        config.m_train = opt("m_train", 1000)
+        config.m_test = opt("m_test", 1000)
+        config.n = opt("n", 300)
+        config.sigmas = opt("sigma") or [0.1, 0.5, 1.0, 2.0]
     else:
-        config.csv_path = opt("path", str)
-        config.target_column = _normalize_target(opt("target", str, "last"))
+        config.csv_path = opt("path")
+        config.target_column = _normalize_target(opt("target", "last"))
         config.header = not args.no_header
     return config.validate()
 
@@ -215,10 +213,10 @@ def _normalize_target(value):
 
 
 def _cmd_bench(args) -> int:
-    config = _bench_config(args)
     file_values = _load_config_file(args.config) if args.config else {}
-    out = _merged_option(args, file_values, "out", str)
-    fmt = _merged_option(args, file_values, "format", str, "csv")
+    opt = functools.partial(_merged_option, args, file_values)
+    config = _bench_config(args, opt)
+    out, fmt = opt("out"), opt("format", "csv")
     rows = sweep(config)
     if out:
         emit_report(rows, out, fmt, timing=config.timing)
@@ -232,11 +230,6 @@ def _cmd_fit(args) -> int:
     method = parse_method(args.method)
     if method.param is None:
         raise ValueError("fit needs a parameter, e.g. ogl:max@9 or ridge@0.01")
-    param = method.param
-    if method.algorithm in ("ogl", "pgl"):
-        grid = [int(param)]
-    else:
-        grid = [float(param)]
     config = ExperimentConfig(
         task=args.task,
         methods=[method],
@@ -251,26 +244,10 @@ def _cmd_fit(args) -> int:
         header=not args.no_header,
         normalize_atoms=not args.raw_atoms,
     )
-    if method.algorithm in ("ogl", "pgl"):
-        config.k_grid = grid
-    elif method.algorithm in ("togl", "dtogl"):
-        config.delta_grid = grid
-    else:
-        config.lambda_grid = grid
+    setattr(config, f"{method.grid}_grid", [method.param])
     row = sweep(config.validate())[0]
-    for name in (
-        "method",
-        "parameter",
-        "sigma",
-        "seed",
-        "test_rmse",
-        "train_rmse",
-        "sparsity",
-        "iterations",
-        "termination",
-        "seconds",
-    ):
-        print(f"{name}: {getattr(row, name)}")
+    for field in dataclasses.fields(FitReport):
+        print(f"{field.name}: {getattr(row, field.name)}")
     return 0
 
 
@@ -278,12 +255,10 @@ def _cmd_report(args) -> int:
     rows = load_report(args.infile)
     if not rows:
         raise ValueError(f"no rows in {args.infile}")
-    text = render_report(rows, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        emit_report(rows, args.out, args.format)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_report(rows, args.format))
     return 0
 
 

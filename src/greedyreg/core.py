@@ -21,10 +21,6 @@ FIXED_K = "fixed_k"
 DICTIONARY_EXHAUSTED = "dictionary_exhausted"
 ZERO_RESIDUAL = "zero_residual"
 
-TERMINATION_REASONS = frozenset(
-    {NO_ACTIVE_ATOM, RESIDUAL_RATIO, FIXED_K, DICTIONARY_EXHAUSTED, ZERO_RESIDUAL}
-)
-
 
 class NonFinite(ValueError):
     """A dataset entry is NaN or infinite."""
@@ -174,31 +170,6 @@ class SparseModel:
     @property
     def sparsity(self) -> int:
         return len(self.selected)
-
-
-def sparse_model_to_lines(model: SparseModel) -> list[str]:
-    """Serialize a model to a line-oriented text block (floats via repr)."""
-    bound = (
-        "none" if model.truncation_bound is None else repr(float(model.truncation_bound))
-    )
-    lines = [f"truncation_bound={bound}"]
-    for idx, coef in zip(model.selected, model.coefficients):
-        lines.append(f"{idx},{float(coef)!r}")
-    return lines
-
-
-def sparse_model_from_lines(lines) -> SparseModel:
-    lines = list(lines)
-    if not lines or not lines[0].startswith("truncation_bound="):
-        raise ValueError("missing truncation_bound header line")
-    bound_text = lines[0].split("=", 1)[1]
-    bound = None if bound_text == "none" else float(bound_text)
-    selected, coefficients = [], []
-    for line in lines[1:]:
-        idx_text, coef_text = line.split(",", 1)
-        selected.append(int(idx_text))
-        coefficients.append(float(coef_text))
-    return SparseModel(tuple(selected), np.array(coefficients), bound)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, validate_dataset
 
 
 class ParseError(ValueError):
@@ -44,8 +44,8 @@ def gen_sinc(m_train: int, m_test: int, sigma: float, rng) -> tuple:
     """
     if m_train < 1 or m_test < 1:
         raise ValueError("m_train and m_test must be >= 1")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     x_train = rng.uniform(-np.pi, np.pi, size=m_train)
     noise = rng.normal(0.0, sigma, size=m_train) if sigma > 0 else np.zeros(m_train)
     y_train = sinc(x_train) + noise
@@ -60,7 +60,7 @@ def load_csv(path, target_column="last", header: bool = True) -> Dataset:
     """Numeric CSV -> Dataset; one designated column is the target.
 
     target_column: "last", a 0-based integer index, or (with a header)
-    a column name.
+    a column name.  NaN or infinite cells raise NonFinite.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -101,16 +101,7 @@ def load_csv(path, target_column="last", header: bool = True) -> Dataset:
     features = np.delete(values, target_idx, axis=1)
     if features.shape[1] == 0:
         raise MissingTarget("file has a target but no feature columns")
-    return Dataset(features, targets, role="train")
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write a Dataset in the load_csv schema (features, target last)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dataset.d)] + ["target"])
-        for x, y in zip(dataset.inputs, dataset.targets):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
+    return validate_dataset(Dataset(features, targets, role="train"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +139,6 @@ def zscore_fit_apply(train: Dataset, test: Dataset):
         )
 
     return apply(train), apply(test), params
-
-
-def inverse_target(params: ZScoreParams, values) -> np.ndarray:
-    """Map standardized target values back to original units."""
-    return np.asarray(values, dtype=float) * params.target_std + params.target_mean
 
 
 def split_half(dataset: Dataset, rng):

@@ -1,4 +1,4 @@
-"""Atom-selection criteria and termination rules.
+"""Atom-selection criteria.
 
 A criterion ranks atoms by the normalized correlation
 |<r, g>_m| / ||r||_m (the cosine of the angle between residual and atom
@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    NO_ACTIVE_ATOM,
-    RESIDUAL_RATIO,
-    FIXED_K,
-    ZERO_RESIDUAL,
-    DesignMatrix,
-)
+from .core import DesignMatrix
 
 CRITERION_KINDS = ("max", "max2", "max3", "rand", "first")
 _RANK = {"max": 1, "max2": 2, "max3": 3}
-
-# Residuals below this fraction of the target norm count as exactly fit.
-ZERO_RESIDUAL_RTOL = 1e-12
 
 # Atoms scanned per block in the first-above-threshold path: large
 # enough to amortize numpy overhead, small enough to keep the early
@@ -36,12 +27,10 @@ class ZeroResidual(ArithmeticError):
     """Correlations are undefined for a zero residual."""
 
 
-def validate_delta(delta: float, strict: bool = False) -> float:
-    """Accept delta in (0, 1); strict mode enforces the (0, 1/2] range."""
+def validate_delta(delta: float) -> float:
+    """Accept delta in (0, 1)."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if strict and delta > 0.5:
-        raise ValueError(f"strict mode requires delta <= 0.5, got {delta}")
     return float(delta)
 
 
@@ -66,31 +55,6 @@ class Criterion:
     @property
     def thresholded(self) -> bool:
         return self.delta is not None
-
-
-@dataclass(frozen=True)
-class TerminationRule:
-    """When to stop the greedy loop.
-
-    kind "k": stop at k_max iterations.  kind "delta": stop when no atom
-    correlates above delta or the residual falls to delta times the
-    target norm.  kind "both": no-active-atom or k_max, whichever first.
-    """
-
-    kind: str
-    k_max: int | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("k", "delta", "both"):
-            raise ValueError(f"unknown termination kind {self.kind!r}")
-        if self.kind in ("k", "both"):
-            if self.k_max is None or self.k_max < 1:
-                raise ValueError("k_max must be >= 1")
-        if self.kind in ("delta", "both"):
-            if self.delta is None:
-                raise ValueError(f"rule {self.kind!r} requires delta")
-            validate_delta(self.delta)
 
 
 def correlation(residual, residual_norm: float, column) -> float:
@@ -176,73 +140,3 @@ def _first_above(dm, residual, residual_norm, delta, mask):
         if hits.size:
             return int(start + hits[0])
     return None
-
-
-def should_stop(
-    dm: DesignMatrix,
-    residual,
-    residual_norm: float,
-    y_norm: float,
-    k: int,
-    rule: TerminationRule,
-):
-    """Evaluate the termination rule; returns (stop, reason-or-None).
-
-    An effectively zero residual always stops.  The residual-ratio
-    clause is checked before the no-active-atom clause because it does
-    not require scanning the dictionary.
-    """
-    if y_norm <= 0:
-        raise ValueError("y_norm must be positive")
-    if residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
-        return True, ZERO_RESIDUAL
-    if rule.kind in ("k", "both") and k >= rule.k_max:
-        return True, FIXED_K
-    if rule.kind == "delta" and residual_norm <= rule.delta * y_norm:
-        return True, RESIDUAL_RATIO
-    if rule.kind in ("delta", "both"):
-        max_corr = float(all_correlations(dm, residual, residual_norm).max())
-        if max_corr <= rule.delta:
-            return True, NO_ACTIVE_ATOM
-    return False, None
-
-
-# --- canonical string encodings (CLI surface) ---
-
-
-def criterion_to_string(criterion: Criterion) -> str:
-    if criterion.delta is None:
-        return criterion.kind
-    return f"{criterion.kind}@{criterion.delta:g}"
-
-
-def criterion_from_string(text: str) -> Criterion:
-    text = text.strip()
-    if "@" in text:
-        kind, delta_text = text.split("@", 1)
-        return Criterion(kind, float(delta_text))
-    return Criterion(text)
-
-
-def termination_to_string(rule: TerminationRule) -> str:
-    if rule.kind == "k":
-        return f"stop=k:{rule.k_max}"
-    if rule.kind == "delta":
-        return f"stop=delta:{rule.delta:g}"
-    return f"stop=both:{rule.delta:g},{rule.k_max}"
-
-
-def termination_from_string(text: str) -> TerminationRule:
-    text = text.strip()
-    if not text.startswith("stop="):
-        raise ValueError(f"termination encoding must start with 'stop=': {text!r}")
-    body = text[len("stop=") :]
-    kind, _, args = body.partition(":")
-    if kind == "k":
-        return TerminationRule("k", k_max=int(args))
-    if kind == "delta":
-        return TerminationRule("delta", delta=float(args))
-    if kind == "both":
-        delta_text, _, k_text = args.partition(",")
-        return TerminationRule("both", k_max=int(k_text), delta=float(delta_text))
-    raise ValueError(f"unknown termination kind {kind!r}")

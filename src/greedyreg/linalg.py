@@ -51,15 +51,6 @@ def rmse(pred, truth) -> float:
     return empirical_norm(pred - truth)
 
 
-def truncate(u: float, bound: float) -> float:
-    """Clamp a scalar to [-bound, bound]."""
-    if bound <= 0:
-        raise NonPositiveBound(f"bound must be positive, got {bound}")
-    if abs(u) <= bound:
-        return float(u)
-    return float(np.sign(u) * bound)
-
-
 def truncate_values(values, bound: float) -> np.ndarray:
     """Elementwise truncation of a prediction vector."""
     if bound <= 0:

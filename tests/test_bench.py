@@ -5,7 +5,6 @@ from greedyreg.bench import (
     DEFAULT_DELTA_GRID,
     EmptyTable,
     ExperimentConfig,
-    IoError,
     MethodSpec,
     emit_report,
     load_report,
@@ -15,7 +14,6 @@ from greedyreg.bench import (
     report_row_from_line,
     sweep,
     time_fit,
-    total_fit_seconds,
 )
 from greedyreg.core import FitReport
 
@@ -242,21 +240,6 @@ def test_time_fit_noop_under_a_millisecond():
     assert seconds < 1e-3
 
 
-def test_total_fit_seconds_accounting():
-    mk = lambda method, param, seed, seconds: FitReport(
-        method, param, 0.1, seed, 0.1, 0.1, 1, 1, "fixed_k", seconds
-    )
-    rows = [
-        mk("ogl:max", 1, 0, 2.0),
-        mk("ogl:max", 2, 0, 2.0),  # same fit, same cell
-        mk("ogl:max", 1, 1, 3.0),
-        mk("dtogl:first", 0.1, 0, 1.0),
-        mk("dtogl:first", 0.2, 0, 1.5),
-    ]
-    assert total_fit_seconds(rows, "ogl:max") == pytest.approx(5.0)
-    assert total_fit_seconds(rows, "dtogl:first") == pytest.approx(2.5)
-
-
 class TestReports:
     def test_csv_layout(self, tmp_path):
         rows = sweep(_tiny_config(methods=[parse_method("dtogl:first")], delta_grid=[1e-3]))
@@ -287,7 +270,7 @@ class TestReports:
 
     def test_io_error(self, tmp_path):
         rows = sweep(_tiny_config(methods=[parse_method("dtogl:first")], delta_grid=[1e-3]))
-        with pytest.raises(IoError):
+        with pytest.raises(OSError):
             emit_report(rows, tmp_path / "no" / "such" / "dir" / "x.csv")
 
     def test_bad_line_rejected(self):

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from greedyreg.cli import main
 
@@ -86,6 +87,45 @@ class TestBenchCommand:
         )
         assert code == 0
         assert len([l for l in out.read_text().splitlines() if l.startswith("ridge")]) == 6
+
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("method=dtogl:first", "method"), ("no-timing=1", "no_timing")],
+    )
+    def test_config_file_rejects_unknown_key(self, tmp_path, capsys, line, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"sigma=0.1\n{line}\n", encoding="utf-8")
+        code = main(_bench_args(tmp_path / "x.csv") + ["--config", str(config)])
+        assert code == 1
+        assert f"run.cfg:2: unknown key '{key}'" in capsys.readouterr().err
+
+    def test_pinned_parameter_rejected(self, tmp_path, capsys):
+        code = main(_bench_args(tmp_path / "x.csv") + ["--methods", "ridge@0.01"])
+        assert code == 1
+        assert "--lambda-grid" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_fails(self, tmp_path, capsys, sigma):
+        code = main(_bench_args(tmp_path / "x.csv") + ["--sigma", sigma])
+        assert code == 1
+        assert "sigma must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("0.5,0.1,nan", "target"), ("0.5,0.1,inf", "target"), ("nan,0.1,0.2", "input")],
+    )
+    def test_non_finite_csv_fails(self, tmp_path, capsys, bad_row, message):
+        rows = ["x0,x1,y"] + [f"{i / 10},{i / 20},{i / 5}" for i in range(10)] + [bad_row]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(
+            ["bench", "csv", "--path", str(data), "--methods", "ridge",
+             "--lambda-grid", "1e-3:1e-1:2", "--out", str(tmp_path / "res.csv")]
+        )
+        assert code == 1
+        assert f"non-finite {message} entry" in capsys.readouterr().err
 
 
 class TestFitCommand:

@@ -9,8 +9,6 @@ from greedyreg.core import (
     LengthMismatch,
     NonFinite,
     SparseModel,
-    sparse_model_from_lines,
-    sparse_model_to_lines,
     validate_dataset,
 )
 
@@ -79,19 +77,6 @@ class TestSparseModel:
     def test_coefficient_count_must_match(self):
         with pytest.raises(LengthMismatch):
             SparseModel((1, 2), np.array([0.5]))
-
-    def test_line_round_trip(self):
-        model = SparseModel((4, 0, 17), np.array([0.25, -1.75e-9, 3.0]), 1.5)
-        back = sparse_model_from_lines(sparse_model_to_lines(model))
-        assert back.selected == model.selected
-        assert np.array_equal(back.coefficients, model.coefficients)
-        assert back.truncation_bound == model.truncation_bound
-
-    def test_line_round_trip_without_bound(self):
-        model = SparseModel((2,), np.array([0.123456789012345678]))
-        back = sparse_model_from_lines(sparse_model_to_lines(model))
-        assert back.truncation_bound is None
-        assert np.array_equal(back.coefficients, model.coefficients)
 
 
 def test_fit_report_round_trip_is_structural():

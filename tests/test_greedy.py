@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from greedyreg.algorithms import fit_delta_togl, fit_ogl, fit_togl
+from greedyreg.bench import parse_method
 from greedyreg.core import (
     DesignMatrix,
+    DICTIONARY_EXHAUSTED,
     FIXED_K,
     NO_ACTIVE_ATOM,
     RESIDUAL_RATIO,
@@ -10,16 +13,10 @@ from greedyreg.core import (
 )
 from greedyreg.greedy import (
     Criterion,
-    TerminationRule,
     ZeroResidual,
     all_correlations,
     correlation,
-    criterion_from_string,
-    criterion_to_string,
     select_atom,
-    should_stop,
-    termination_from_string,
-    termination_to_string,
     validate_delta,
 )
 from greedyreg.linalg import empirical_norm
@@ -161,61 +158,92 @@ class TestSelectAtom:
         assert select_atom(dm, r, empirical_norm(r), Criterion("max"), excluded=[1]) is None
 
 
+def _orthonormal_problem(weights, live=4, dead=0):
+    """The first ``live`` of four orthogonal unit-norm atoms plus ``dead``
+    zero columns, and the target sum_j weights[j] atom_j."""
+    atoms = 2.0 * np.eye(4)
+    columns = np.column_stack([atoms[:, :live], np.zeros((4, dead))])
+    return _design(columns), atoms @ np.asarray(weights, dtype=float)
+
+
 class TestShouldStop:
+    """The stop rule of the orthogonal fits, through fit_ogl, fit_togl and
+    fit_delta_togl on orthonormal atoms whose correlations are known."""
+
     def test_zero_residual_always_stops(self):
-        dm, _, _ = _two_atom_instance()
-        stop, reason = should_stop(dm, np.zeros(2), 0.0, 1.0, 0, TerminationRule("k", k_max=5))
-        assert stop and reason == ZERO_RESIDUAL
+        dm, y = _orthonormal_problem([0.0, 3.0, 0.0, 0.0])
+        for trace in (
+            fit_ogl(dm, y, Criterion("max"), 4),
+            fit_togl(dm, y, Criterion("max", 0.1), 4),
+            fit_delta_togl(dm, y, 0.1, "max"),
+        ):
+            assert trace.selected == [1]
+            assert trace.termination_reason == ZERO_RESIDUAL
 
     def test_residual_ratio(self):
-        dm, r, rn = _two_atom_instance()
-        rule = TerminationRule("delta", delta=0.1)
-        stop, reason = should_stop(dm, r, 0.05, 1.0, 3, rule)
-        assert stop and reason == RESIDUAL_RATIO
+        # ||y|| = sqrt(21.25); after atoms 0 and 1 the residual ratio is
+        # sqrt(1.25 / 21.25) = 0.243 <= 0.3 while atom 2 still correlates 0.89
+        dm, y = _orthonormal_problem([4.0, 2.0, 1.0, 0.5])
+        trace = fit_delta_togl(dm, y, 0.3, "max")
+        assert trace.selected == [0, 1]
+        assert trace.termination_reason == RESIDUAL_RATIO
 
     def test_no_active_atom(self):
-        dm, r, rn = _two_atom_instance(0.08, 0.05)
-        rule = TerminationRule("delta", delta=0.1)
-        stop, reason = should_stop(dm, r, rn, rn, 3, rule)
-        assert stop and reason == NO_ACTIVE_ATOM
+        # after atom 0 the residual (0.1, 2) mostly lies outside the span:
+        # atom 1 correlates 0.05 < 0.3 while the ratio is 0.555 > 0.3
+        dm, y = _orthonormal_problem([3.0, 0.1, 2.0, 0.0], live=2)
+        for trace in (
+            fit_delta_togl(dm, y, 0.3, "max"),
+            fit_togl(dm, y, Criterion("first", 0.3), 2),
+        ):
+            assert trace.selected == [0]
+            assert trace.termination_reason == NO_ACTIVE_ATOM
+
+    def test_dictionary_exhausted(self):
+        # two live atoms and a dead one; the target has a component
+        # outside their span, so only running out of atoms stops the fit
+        dm, y = _orthonormal_problem([3.0, 2.0, 1.0, 0.0], live=2, dead=1)
+        for trace in (
+            fit_ogl(dm, y, Criterion("max"), 3),
+            fit_delta_togl(dm, y, 0.01, "max"),
+        ):
+            assert trace.selected == [0, 1]
+            assert trace.termination_reason == DICTIONARY_EXHAUSTED
 
     def test_all_clauses_continue(self):
-        # max correlation 0.9 > 0.1, ratio 0.5 > 0.1, k=2 < 5
-        dm, r, rn = _two_atom_instance()
-        rule = TerminationRule("both", k_max=5, delta=0.1)
-        stop, reason = should_stop(dm, r, rn, 2.0 * rn, 2, rule)
-        assert not stop and reason is None
+        # every step has an atom above 0.05 and a residual ratio above 0.05
+        # until the last atom leaves a zero residual
+        dm, y = _orthonormal_problem([4.0, 2.0, 1.0, 0.5])
+        trace = fit_delta_togl(dm, y, 0.05, "max")
+        assert trace.selected == [0, 1, 2, 3]
+        assert trace.termination_reason == ZERO_RESIDUAL
 
     def test_fixed_k(self):
-        dm, r, rn = _two_atom_instance()
-        stop, reason = should_stop(dm, r, rn, rn, 5, TerminationRule("k", k_max=5))
-        assert stop and reason == FIXED_K
+        dm, y = _orthonormal_problem([4.0, 2.0, 1.0, 0.5])
+        for trace in (
+            fit_ogl(dm, y, Criterion("max"), 2),
+            fit_togl(dm, y, Criterion("max", 0.05), 2),
+        ):
+            assert trace.selected == [0, 1]
+            assert trace.termination_reason == FIXED_K
 
     def test_stop_monotone_in_delta(self):
         rng = np.random.default_rng(4)
         cols = rng.standard_normal((10, 6))
         cols /= np.sqrt(np.mean(cols**2, axis=0))
         dm = _design(cols)
-        r = rng.standard_normal(10)
-        rn = empirical_norm(r)
+        y = rng.standard_normal(10)
         deltas = np.linspace(0.01, 0.95, 30)
-        stops = [
-            should_stop(dm, r, rn, 1.5 * rn, 2, TerminationRule("delta", delta=float(d)))[0]
-            for d in deltas
-        ]
-        # once stopping begins it never reverts at larger deltas
-        first_stop = stops.index(True) if True in stops else len(stops)
-        assert all(stops[first_stop:])
+        counts = [fit_delta_togl(dm, y, float(d), "max").k_fitted for d in deltas]
+        # a larger threshold never lets the fit run longer
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert counts[0] > counts[-1]
 
 
 class TestEncodings:
     def test_criterion_round_trip(self):
-        for text in ("max", "max2", "max3", "rand", "first@0.01", "max@0.25"):
-            assert criterion_to_string(criterion_from_string(text)) == text
-
-    def test_termination_round_trip(self):
-        for text in ("stop=k:5", "stop=delta:0.1", "stop=both:0.1,50"):
-            assert termination_to_string(termination_from_string(text)) == text
+        for text in ("ogl:max", "ogl:max2", "ogl:rand", "togl:first", "dtogl:max3", "pgl"):
+            assert parse_method(text).label == text
 
     def test_first_requires_delta(self):
         with pytest.raises(ValueError):
@@ -223,9 +251,9 @@ class TestEncodings:
 
     def test_bad_encodings(self):
         with pytest.raises(ValueError):
-            criterion_from_string("best")
+            Criterion("best")
         with pytest.raises(ValueError):
-            termination_from_string("k:5")
+            parse_method("ogl:best")
 
 
 class TestDeltaValidation:
@@ -237,8 +265,3 @@ class TestDeltaValidation:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 validate_delta(bad)
-
-    def test_strict_mode_caps_at_half(self):
-        validate_delta(0.5, strict=True)
-        with pytest.raises(ValueError):
-            validate_delta(0.51, strict=True)

@@ -11,7 +11,6 @@ from greedyreg.linalg import (
     project_append,
     rmse,
     solve_coefficients,
-    truncate,
     truncate_values,
 )
 
@@ -51,18 +50,17 @@ class TestEmpiricalNorm:
 
 class TestTruncate:
     def test_inside_band(self):
-        assert truncate(0.5, 1.0) == 0.5
+        assert truncate_values([0.5, -0.25], 1.0).tolist() == [0.5, -0.25]
 
     def test_clamps_to_signed_bound(self):
-        assert truncate(-3.0, 1.0) == -1.0
-        assert truncate(3.0, 1.0) == 1.0
+        assert truncate_values([-3.0, 3.0], 1.0).tolist() == [-1.0, 1.0]
 
     def test_boundary(self):
-        assert truncate(1.0, 1.0) == 1.0
+        assert truncate_values([1.0, -1.0], 1.0).tolist() == [1.0, -1.0]
 
     def test_nonpositive_bound(self):
         with pytest.raises(NonPositiveBound):
-            truncate(0.5, 0.0)
+            truncate_values([0.5], 0.0)
         with pytest.raises(NonPositiveBound):
             truncate_values([0.5], -1.0)
 
