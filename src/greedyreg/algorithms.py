@@ -4,7 +4,8 @@ Four loops share the same ingredients: pick an atom (greedy criterion),
 absorb it (orthogonal projection for the OGL family, a single
 correlation-scaled step for pure greedy), stop per a termination rule.
 Every fit records a full trace so one run yields the model at every
-prefix length k for parameter sweeps.
+prefix length k for parameter sweeps; an orthogonal fit's trace is its
+QR factor, solved for a prefix's coefficients only when one is read.
 """
 
 from dataclasses import dataclass
@@ -44,20 +45,23 @@ class FitTrace:
     """Per-iteration record of a greedy fit.
 
     ``selected`` holds the atom chosen at each successful iteration (pure
-    greedy may repeat atoms).  Projection fits store the re-solved
-    raw-atom coefficient vector for every prefix; additive fits store the
-    scalar raw-atom increment per step.  ``iterations`` counts selection
+    greedy may repeat atoms).  Projection fits keep their design, target
+    and QR factor (``dm``, ``y``, ``state``), from which the coefficients
+    of any prefix are solved when read; additive fits store the scalar
+    raw-atom increment per step.  ``iterations`` counts selection
     attempts including degenerate columns that were skipped.
     """
 
     mode: str
     selected: list
-    prefix_coefficients: list | None
     increments: list | None
     residual_norms: list
     selected_correlations: list
     termination_reason: str
     iterations: int
+    dm: DesignMatrix | None = None
+    y: np.ndarray | None = None
+    state: ProjectionState | None = None
 
     @property
     def k_fitted(self) -> int:
@@ -69,10 +73,10 @@ class FitTrace:
         if k <= 0:
             return SparseModel((), np.zeros(0), truncation_bound)
         if self.mode == "projection":
+            selected = self.selected[:k]
+            coefs = solve_coefficients(self.state, self.y, k)
             return SparseModel(
-                tuple(self.selected[:k]),
-                self.prefix_coefficients[k - 1],
-                truncation_bound,
+                tuple(selected), self.dm.to_raw_coefficients(coefs, selected), truncation_bound
             )
         atoms, coefs = [], []
         position = {}
@@ -100,11 +104,11 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
     """Shared OGL-family loop and the one stop rule; k_cap and ratio_delta select its clauses."""
     if k_cap is not None and not 1 <= k_cap <= dm.n:
         raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)  # the trace solves against it later; own a copy
     y_norm = _check_target(y)
     state = ProjectionState(y)
     excluded = np.zeros(dm.n, dtype=bool)
-    selected, prefix_coefs = [], []
+    selected = []
     residual_norms, selected_corrs = [], []
     attempts = 0
     while True:
@@ -133,18 +137,11 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
             continue
         excluded[idx] = True
         selected.append(idx)
-        prefix_coefs.append(dm.to_raw_coefficients(solve_coefficients(state, y), selected))
         residual_norms.append(state.residual_norm)
         selected_corrs.append(corr)
     return FitTrace(
-        "projection",
-        selected,
-        prefix_coefs,
-        None,
-        residual_norms,
-        selected_corrs,
-        reason,
-        attempts,
+        "projection", selected, None, residual_norms, selected_corrs, reason, attempts,
+        dm, y, state,
     )
 
 
@@ -218,14 +215,7 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
     if reason is None:
         reason = FIXED_K
     return FitTrace(
-        "additive",
-        selected,
-        None,
-        increments,
-        residual_norms,
-        selected_corrs,
-        reason,
-        len(selected),
+        "additive", selected, increments, residual_norms, selected_corrs, reason, len(selected)
     )
 
 
@@ -255,19 +245,20 @@ def prefix_predictions(trace: FitTrace, columns: np.ndarray, ks) -> dict:
     """Predictions of the prefix models at the given iteration counts.
 
     ``columns`` is a raw design matrix evaluated wherever predictions are
-    wanted.  Counts beyond the fitted length reuse the final model.
-    Additive traces are accumulated in a single pass.
+    wanted.  Counts beyond the fitted length reuse the final model, so a
+    projection trace solves each distinct prefix once.  Additive traces
+    are accumulated in a single pass.
     """
     ks = sorted({int(k) for k in ks})
     out = {}
     if trace.mode == "projection":
+        by_prefix = {0: np.zeros(columns.shape[0])}
         for k in ks:
             k_eff = min(k, trace.k_fitted)
-            if k_eff == 0:
-                out[k] = np.zeros(columns.shape[0])
-            else:
-                sel = trace.selected[:k_eff]
-                out[k] = columns[:, sel] @ trace.prefix_coefficients[k_eff - 1]
+            if k_eff not in by_prefix:
+                model = trace.prefix_model(k_eff)
+                by_prefix[k_eff] = columns[:, trace.selected[:k_eff]] @ model.coefficients
+            out[k] = by_prefix[k_eff]
         return out
     pred = np.zeros(columns.shape[0])
     wanted = set(ks)

@@ -193,6 +193,8 @@ class ExperimentConfig:
             raise ValueError("at least one noise level required")
         if self.task == "csv" and not self.csv_path:
             raise ValueError("csv task requires a path")
+        if not self.normalize_atoms and any(m.algorithm == "pgl" for m in self.methods):
+            raise ValueError("pgl requires column-normalized atoms; drop --raw-atoms")
         for grid_name in ("k_grid", "delta_grid", "lambda_grid"):
             grid = getattr(self, grid_name)
             if grid is not None and len(grid) == 0:
@@ -289,7 +291,7 @@ class _Run(NamedTuple):
             k_eff = min(k, trace.k_fitted)
             train_res = trace.residual_norms[k_eff - 1] if k_eff else self.cell.y_norm
             termination = FIXED_K if k_eff < trace.k_fitted else trace.termination_reason
-            sparsity = trace.prefix_model(k_eff).sparsity
+            sparsity = len(set(trace.selected[:k_eff]))
             test_rmse = self.test_rmse(preds[k])
             rows.append(self.row(k, test_rmse, train_res, sparsity, k_eff, termination, seconds))
         return rows
@@ -321,22 +323,23 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
     def fit(param):
         rng = np.random.default_rng([run.seed, 19, sigma_idx, method_idx])
         dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
-        return time_fit(lambda: algo.fit(dm, y, param, crit, rng, config))
+        result, seconds = time_fit(lambda: algo.fit(dm, y, param, crit, rng, config))
+        return result, seconds + extra
 
     if algo.grid == "k":
         try:
             trace, seconds = fit(max([1] + grid))
         except Exception as exc:  # flagged rows, sweep continues
             return [run.failed_row(k, exc) for k in grid]
-        return run.prefix_rows(grid, trace, seconds + extra)
+        return run.prefix_rows(grid, trace, seconds)
 
     make_row = run.model_row if algo.grid == "delta" else run.dense_row
     rows = []
     for param in grid:
         param = float(param)
         try:
-            result, seconds = fit(param)
-            rows.append(make_row(param, result, seconds + extra))
+            # unnamed, so a trace and its QR factor are freed before the next fit
+            rows.append(make_row(param, *fit(param)))
         except Exception as exc:
             rows.append(run.failed_row(param, exc))
     return rows
@@ -398,8 +401,8 @@ def _mean_se(values):
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def oracle_select(rows, metric: str = "test_rmse") -> list:
-    """Best grid point per (method, sigma) by mean of ``metric`` over seeds.
+def oracle_select(rows) -> list:
+    """Best grid point per (method, sigma) by mean test RMSE over seeds.
 
     Ties prefer the smaller parameter, then the smaller mean sparsity.
     """
@@ -411,13 +414,13 @@ def oracle_select(rows, metric: str = "test_rmse") -> list:
 
     candidates = {}
     for (method, sigma, param), cell_rows in grouped.items():
-        mean_metric, se_metric = _mean_se([getattr(r, metric) for r in cell_rows])
+        mean_test, se_test = _mean_se([r.test_rmse for r in cell_rows])
         summary = OracleRow(
             method=method,
             sigma=sigma,
             parameter=param,
-            mean_test_rmse=_mean_se([r.test_rmse for r in cell_rows])[0],
-            se_test_rmse=_mean_se([r.test_rmse for r in cell_rows])[1],
+            mean_test_rmse=mean_test,
+            se_test_rmse=se_test,
             mean_train_rmse=_mean_se([r.train_rmse for r in cell_rows])[0],
             mean_sparsity=float(np.mean([r.sparsity for r in cell_rows])),
             mean_iterations=float(np.mean([r.iterations for r in cell_rows])),
@@ -425,7 +428,7 @@ def oracle_select(rows, metric: str = "test_rmse") -> list:
             n_seeds=len(cell_rows),
         )
         key = (method, sigma)
-        order = (mean_metric, param, summary.mean_sparsity)
+        order = (mean_test, param, summary.mean_sparsity)
         if key not in candidates or order < candidates[key][0]:
             candidates[key] = (order, summary)
 
@@ -443,7 +446,7 @@ def _sigma_sort(sigma):
 # --- report emission / loading ---
 
 
-def _format_field(value, timing=True):
+def _format_field(value):
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):

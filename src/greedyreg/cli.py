@@ -57,6 +57,12 @@ def _parse_k_grid(text):
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _parse_format(text):
+    if text not in ("csv", "markdown"):
+        raise ValueError(f"unknown format {text!r}; expected csv or markdown")
+    return text
+
+
 def _load_config_file(path):
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -155,7 +161,7 @@ _CONFIG_PARSERS = {
     "path": str,
     "target": str,
     "out": str,
-    "format": str,
+    "format": _parse_format,
 }
 
 
@@ -195,6 +201,7 @@ def _bench_config(args, opt) -> ExperimentConfig:
         config.m_train = opt("m_train", 1000)
         config.m_test = opt("m_test", 1000)
         config.n = opt("n", 300)
+        config.eta = opt("eta", ExperimentConfig.eta)
         config.sigmas = opt("sigma") or [0.1, 0.5, 1.0, 2.0]
     else:
         config.csv_path = opt("path")

@@ -62,10 +62,10 @@ class ProjectionState:
     """Incremental orthogonal projection of a fixed target vector y.
 
     Maintains q_basis (columns empirically orthonormal), the upper
-    triangular r_factor mapping appended raw columns onto q_basis, and
+    triangular factor mapping appended raw columns onto q_basis, and
     the residual y minus its projection onto the selected span.  Single
-    owner: one fit mutates it via project_append; distinct fits never
-    share a state.
+    owner: one fit mutates it via project_append, and its trace keeps
+    it for prefix solves; distinct fits never share a state.
     """
 
     def __init__(self, y):
@@ -83,10 +83,6 @@ class ProjectionState:
     @property
     def q_basis(self) -> np.ndarray:
         return self._q[:, : self.k]
-
-    @property
-    def r_factor(self) -> np.ndarray:
-        return self._r[: self.k, : self.k]
 
     def _grow(self):
         cap = self._q.shape[1]
@@ -134,18 +130,19 @@ def project_append(state: ProjectionState, column) -> ProjectionState:
     return state
 
 
-def solve_coefficients(state: ProjectionState, y) -> np.ndarray:
-    """Least-squares coefficients of y over the appended raw columns.
+def solve_coefficients(state: ProjectionState, y, k=None) -> np.ndarray:
+    """Least-squares coefficients of y over the first k (default: all) raw columns.
 
-    Back-substitution through r_factor; the result minimizes the
-    empirical norm of y minus the span combination.
+    Back-substitution through the leading k-by-k triangular block; the
+    result minimizes the empirical norm of y minus their span combination.
     """
-    if state.k == 0:
-        raise ValueError("no columns appended")
+    k = state.k if k is None else k
+    if not 1 <= k <= state.k:
+        raise ValueError(f"prefix length must be in [1, {state.k}], got {k}")
     y = np.asarray(y, dtype=float)
-    r = state.r_factor
+    r = state._r[:k, :k]
     diag = np.abs(np.diag(r))
     if diag.min() < DEGENERATE_TOL:
         raise SingularFactor("triangular factor is numerically singular")
-    z = (state.q_basis.T @ y) / state.m
+    z = (state._q[:, :k].T @ y) / state.m
     return solve_triangular(r, z, lower=False)

@@ -49,7 +49,7 @@ class TestFitOgl:
         trace = fit_ogl(dm, y, Criterion("max"), 3)
         assert trace.selected == [2]
         assert trace.termination_reason == ZERO_RESIDUAL
-        np.testing.assert_allclose(trace.prefix_coefficients[0], [3.0], atol=1e-10)
+        np.testing.assert_allclose(trace.prefix_model(1).coefficients, [3.0], atol=1e-10)
 
     def test_orthonormal_two_atoms(self):
         cols = np.array([[1.0, 0.0], [0.0, 1.0]]) * np.sqrt(2)  # unit empirical norm
@@ -57,7 +57,7 @@ class TestFitOgl:
         y = 3.0 * cols[:, 0] + 1.0 * cols[:, 1]
         trace = fit_ogl(dm, y, Criterion("max"), 2)
         assert trace.selected == [0, 1]
-        np.testing.assert_allclose(trace.prefix_coefficients[1], [3.0, 1.0], atol=1e-10)
+        np.testing.assert_allclose(trace.prefix_model(2).coefficients, [3.0, 1.0], atol=1e-10)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(123)
@@ -70,7 +70,8 @@ class TestFitOgl:
             trace = fit_ogl(dm, y, Criterion("max"), k)
             ref_selected, ref_prefixes = naive_omp(dm.columns, y, trace.k_fitted)
             assert trace.selected == ref_selected
-            for ours, theirs in zip(trace.prefix_coefficients, ref_prefixes):
+            for k, theirs in enumerate(ref_prefixes, 1):
+                ours = trace.prefix_model(k).coefficients
                 assert np.max(np.abs(ours - theirs)) <= 1e-7
 
     def test_residual_strictly_decreases(self):
@@ -348,6 +349,26 @@ class TestPrefixMachinery:
                 else np.zeros(5)
             )
             np.testing.assert_allclose(pred, direct, atol=1e-10)
+
+    def test_k_sweep_from_one_trace_is_exact(self):
+        # a low-rank RBF design: the trace outlives several factor regrowths
+        train, _ = gen_sinc(120, 10, 0.1, np.random.default_rng(21))
+        spec = build_rbf_uniform(40, -np.pi, np.pi, 1.0, np.random.default_rng(22))
+        dm = normalize_columns(evaluate_design(spec, train.inputs))
+        trace = fit_ogl(dm, train.targets, Criterion("max"), 40)
+        assert trace.k_fitted > 16
+        for k in range(1, trace.k_fitted + 1):
+            alone = fit_ogl(dm, train.targets, Criterion("max"), k).final_model()
+            assert np.array_equal(trace.prefix_model(k).coefficients, alone.coefficients)
+
+    def test_prefix_model_ignores_later_target_edits(self):
+        rng = np.random.default_rng(23)
+        dm = _random_unit_design(rng, 20, 6)
+        y = rng.standard_normal(20)
+        trace = fit_ogl(dm, y, Criterion("max"), 3)
+        before = trace.final_model().coefficients
+        y[:] = 0.0
+        assert np.array_equal(trace.final_model().coefficients, before)
 
     def test_prefix_model_zero(self):
         rng = np.random.default_rng(15)

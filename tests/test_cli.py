@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from greedyreg import cli
 from greedyreg.cli import main
 
 
@@ -127,6 +128,39 @@ class TestBenchCommand:
         assert code == 1
         assert f"non-finite {message} entry" in capsys.readouterr().err
 
+    def test_eta_is_honoured(self, tmp_path, capsys):
+        sizes = ["--m-train", "100", "--m-test", "60", "--n", "30", "--sigma", "0.1"]
+        out = tmp_path / "eta.csv"
+        code = main(
+            ["bench", "sinc", *sizes, "--eta", "3", "--methods", "ogl:max",
+             "--k-grid", "5", "--seeds", "0,", "--out", str(out)]
+        )
+        assert code == 0
+        row = next(l for l in out.read_text().splitlines() if l.startswith("ogl:max,5,"))
+        bench_rmse = float(row.split(",")[4])
+        capsys.readouterr()
+        assert main(["fit", "--method", "ogl:max@5", *sizes, "--eta", "3", "--seed", "0"]) == 0
+        fit_lines = capsys.readouterr().out.splitlines()
+        fit_rmse = float(next(l for l in fit_lines if l.startswith("test_rmse:")).split()[1])
+        assert bench_rmse == fit_rmse
+
+    def test_pgl_with_raw_atoms_fails(self, tmp_path, capsys):
+        code = main(_bench_args(tmp_path / "x.csv") + ["--methods", "pgl", "--raw-atoms"])
+        assert code == 1
+        assert "--raw-atoms" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_config_file_bad_format_fails_before_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(config):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        config = tmp_path / "run.cfg"
+        config.write_text("format=html\n", encoding="utf-8")
+        code = main(_bench_args(tmp_path / "x.csv") + ["--config", str(config)])
+        assert code == 1
+        assert "unknown format 'html'" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_prints_report_fields(self, capsys):
@@ -146,6 +180,14 @@ class TestFitCommand:
         )
         assert code == 0
         assert "sparsity: 5" in capsys.readouterr().out
+
+    def test_pgl_with_raw_atoms_fails(self, capsys):
+        code = main(
+            ["fit", "--method", "pgl@5", "--m-train", "60", "--m-test", "30",
+             "--n", "20", "--raw-atoms"]
+        )
+        assert code == 1
+        assert "--raw-atoms" in capsys.readouterr().err
 
     def test_method_without_parameter_fails(self, capsys):
         code = main(["fit", "--method", "ogl:max"])

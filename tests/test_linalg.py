@@ -143,6 +143,29 @@ class TestSolveCoefficients:
         with pytest.raises(ValueError):
             solve_coefficients(state, np.ones(3))
 
+    def test_prefix_matches_truncated_state(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((20, 12))
+        y = rng.standard_normal(20)
+        state = ProjectionState(y)
+        for j in range(12):
+            project_append(state, g[:, j])
+        for k in range(1, 13):
+            prefix_state = ProjectionState(y)
+            for j in range(k):
+                project_append(prefix_state, g[:, j])
+            assert np.array_equal(
+                solve_coefficients(state, y, k), solve_coefficients(prefix_state, y)
+            )
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_prefix_out_of_range_rejected(self, k):
+        state = ProjectionState(np.ones(3))
+        project_append(state, np.array([1.0, 0.0, 0.0]))
+        project_append(state, np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError):
+            solve_coefficients(state, np.ones(3), k)
+
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(7)
         g = rng.standard_normal((5, 3))
