@@ -45,14 +45,14 @@ class FitTrace:
     """Per-iteration record of a greedy fit.
 
     ``selected`` holds the atom chosen at each successful iteration (pure
-    greedy may repeat atoms).  Projection fits keep their design, target
-    and QR factor (``dm``, ``y``, ``state``), from which the coefficients
-    of any prefix are solved when read; additive fits store the scalar
-    raw-atom increment per step.  ``iterations`` counts selection
-    attempts including degenerate columns that were skipped.
+    greedy may repeat atoms).  Projection fits keep their design and QR
+    factor (``dm``, ``state``, which holds the target), from which the
+    coefficients of any prefix are solved when read; additive fits leave
+    ``state`` None and store the scalar raw-atom increment per step.
+    ``iterations`` counts selection attempts including degenerate
+    columns that were skipped.
     """
 
-    mode: str
     selected: list
     increments: list | None
     residual_norms: list
@@ -60,24 +60,21 @@ class FitTrace:
     termination_reason: str
     iterations: int
     dm: DesignMatrix | None = None
-    y: np.ndarray | None = None
     state: ProjectionState | None = None
 
     @property
     def k_fitted(self) -> int:
         return len(self.selected)
 
-    def prefix_model(self, k: int, truncation_bound=None) -> SparseModel:
+    def prefix_model(self, k: int) -> SparseModel:
         """Model after the first k iterations (k clamped to the trace)."""
         k = min(k, self.k_fitted)
         if k <= 0:
-            return SparseModel((), np.zeros(0), truncation_bound)
-        if self.mode == "projection":
+            return SparseModel((), np.zeros(0))
+        if self.state is not None:
             selected = self.selected[:k]
-            coefs = solve_coefficients(self.state, self.y, k)
-            return SparseModel(
-                tuple(selected), self.dm.to_raw_coefficients(coefs, selected), truncation_bound
-            )
+            coefs = solve_coefficients(self.state, k)
+            return SparseModel(tuple(selected), self.dm.to_raw_coefficients(coefs, selected))
         atoms, coefs = [], []
         position = {}
         for idx, inc in zip(self.selected[:k], self.increments[:k]):
@@ -87,10 +84,10 @@ class FitTrace:
                 position[idx] = len(atoms)
                 atoms.append(idx)
                 coefs.append(inc)
-        return SparseModel(tuple(atoms), np.array(coefs), truncation_bound)
+        return SparseModel(tuple(atoms), np.array(coefs))
 
-    def final_model(self, truncation_bound=None) -> SparseModel:
-        return self.prefix_model(self.k_fitted, truncation_bound)
+    def final_model(self) -> SparseModel:
+        return self.prefix_model(self.k_fitted)
 
 
 def _check_target(y) -> float:
@@ -104,7 +101,6 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
     """Shared OGL-family loop and the one stop rule; k_cap and ratio_delta select its clauses."""
     if k_cap is not None and not 1 <= k_cap <= dm.n:
         raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
-    y = np.array(y, dtype=float)  # the trace solves against it later; own a copy
     y_norm = _check_target(y)
     state = ProjectionState(y)
     excluded = np.zeros(dm.n, dtype=bool)
@@ -139,10 +135,7 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
         selected.append(idx)
         residual_norms.append(state.residual_norm)
         selected_corrs.append(corr)
-    return FitTrace(
-        "projection", selected, None, residual_norms, selected_corrs, reason, attempts,
-        dm, y, state,
-    )
+    return FitTrace(selected, None, residual_norms, selected_corrs, reason, attempts, dm, state)
 
 
 def fit_ogl(dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None) -> FitTrace:
@@ -214,17 +207,11 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
         residual_norms.append(residual_norm)
     if reason is None:
         reason = FIXED_K
-    return FitTrace(
-        "additive", selected, increments, residual_norms, selected_corrs, reason, len(selected)
-    )
+    return FitTrace(selected, increments, residual_norms, selected_corrs, reason, len(selected))
 
 
 def predict(model: SparseModel, spec: RbfSpec, inputs, truncate_at=None) -> np.ndarray:
-    """Evaluate the sparse model at inputs, optionally clamped to [-M, M].
-
-    ``truncate_at`` overrides the model's own truncation bound; with
-    neither set, predictions are returned unclamped.
-    """
+    """Evaluate the sparse model at inputs, clamped to [-M, M] when ``truncate_at`` is M."""
     inputs = np.asarray(inputs, dtype=float)
     n_eval = inputs.shape[0]
     if model.sparsity == 0:
@@ -235,9 +222,8 @@ def predict(model: SparseModel, spec: RbfSpec, inputs, truncate_at=None) -> np.n
                 f"atom index {max(model.selected)} outside dictionary of size {spec.n}"
             )
         pred = evaluate_atoms(spec, inputs, model.selected) @ model.coefficients
-    bound = truncate_at if truncate_at is not None else model.truncation_bound
-    if bound is not None:
-        pred = truncate_values(pred, bound)
+    if truncate_at is not None:
+        pred = truncate_values(pred, truncate_at)
     return pred
 
 
@@ -251,7 +237,7 @@ def prefix_predictions(trace: FitTrace, columns: np.ndarray, ks) -> dict:
     """
     ks = sorted({int(k) for k in ks})
     out = {}
-    if trace.mode == "projection":
+    if trace.state is not None:
         by_prefix = {0: np.zeros(columns.shape[0])}
         for k in ks:
             k_eff = min(k, trace.k_fitted)

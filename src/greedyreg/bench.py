@@ -8,6 +8,7 @@ fit yields every prefix model, so k-sweeps cost a single fit; threshold
 and regularization sweeps rerun the fit per grid point.
 """
 
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -63,7 +64,7 @@ class _Algorithm(NamedTuple):
     ``criteria`` are the accepted selection criteria, default first (none
     if empty).  ``grid`` names the ExperimentConfig grid swept: a "k" grid
     is read off one capped fit at every prefix, other grids refit per
-    point.  ``fit(dm, y, param, criterion, rng, config)`` runs one fit; it
+    point.  ``fit(dm, y, param, criterion, rng)`` runs one fit; it
     looks the fitting function up on its module at call time, so that a
     replaced module attribute (as in tracing) takes effect.
     """
@@ -78,34 +79,26 @@ _ALGORITHMS = {
     "ogl": _Algorithm(
         _RANKED,
         "k",
-        lambda dm, y, k, crit, rng, config: algorithms.fit_ogl(
-            dm, y, Criterion(crit), min(k, dm.n), rng
-        ),
+        lambda dm, y, k, crit, rng: algorithms.fit_ogl(dm, y, Criterion(crit), min(k, dm.n), rng),
     ),
-    "pgl": _Algorithm(
-        (),
-        "k",
-        lambda dm, y, k, crit, rng, config: algorithms.fit_pgl(dm, y, min(k, config.pgl_cap)),
-    ),
+    "pgl": _Algorithm((), "k", lambda dm, y, k, crit, rng: algorithms.fit_pgl(dm, y, k)),
     "togl": _Algorithm(
         _RANKED + ("first",),
         "delta",
-        lambda dm, y, delta, crit, rng, config: algorithms.fit_togl(
+        lambda dm, y, delta, crit, rng: algorithms.fit_togl(
             dm, y, Criterion(crit, delta), min(dm.n, _K_SWEEP_CAP), rng
         ),
     ),
     "dtogl": _Algorithm(
         ("first",) + _RANKED,
         "delta",
-        lambda dm, y, delta, crit, rng, config: algorithms.fit_delta_togl(
-            dm, y, delta, crit, rng
-        ),
+        lambda dm, y, delta, crit, rng: algorithms.fit_delta_togl(dm, y, delta, crit, rng),
     ),
     "ridge": _Algorithm(
-        (), "lambda", lambda dm, y, lam, crit, rng, config: baselines.fit_ridge(dm, y, lam)
+        (), "lambda", lambda dm, y, lam, crit, rng: baselines.fit_ridge(dm, y, lam)
     ),
     "fista": _Algorithm(
-        (), "lambda", lambda dm, y, lam, crit, rng, config: baselines.fit_fista(dm, y, lam)
+        (), "lambda", lambda dm, y, lam, crit, rng: baselines.fit_fista(dm, y, lam)
     ),
 }
 
@@ -156,6 +149,13 @@ def parse_method(text: str) -> MethodSpec:
     return MethodSpec(text, None, param)
 
 
+_GRID_VALUES = {
+    "k_grid": (">= 0", lambda k: k >= 0),
+    "delta_grid": ("in (0, 1)", lambda delta: 0 < delta < 1),
+    "lambda_grid": ("> 0", lambda lam: lam > 0),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a sweep needs; grids of None take task-sized defaults."""
@@ -178,9 +178,7 @@ class ExperimentConfig:
     k_grid: list | None = None
     delta_grid: list | None = None
     lambda_grid: list | None = None
-    pgl_cap: int = 10000
     include_materialization: bool = False
-    timing: bool = True
 
     def validate(self) -> "ExperimentConfig":
         if self.task not in ("sinc", "csv"):
@@ -195,10 +193,13 @@ class ExperimentConfig:
             raise ValueError("csv task requires a path")
         if not self.normalize_atoms and any(m.algorithm == "pgl" for m in self.methods):
             raise ValueError("pgl requires column-normalized atoms; drop --raw-atoms")
-        for grid_name in ("k_grid", "delta_grid", "lambda_grid"):
+        for grid_name, (wanted, ok) in _GRID_VALUES.items():
             grid = getattr(self, grid_name)
             if grid is not None and len(grid) == 0:
                 raise ValueError(f"{grid_name} must be nonempty")
+            bad = [value for value in grid or () if not ok(value)]
+            if bad:
+                raise ValueError(f"{grid_name} values must be {wanted}, got {bad[0]:g}")
         return self
 
 
@@ -280,6 +281,11 @@ class _Run(NamedTuple):
         return rmse(truncate_values(predictions, self.cell.bound), self.cell.y_test)
 
     def failed_row(self, param, exc):
+        print(
+            f"flagged: {self.method.label} param={param:g} sigma={self.sigma} seed={self.seed}: "
+            f"{type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         inf = float("inf")
         return self.row(param, inf, inf, 0, 0, f"error:{type(exc).__name__}", 0.0)
 
@@ -297,11 +303,11 @@ class _Run(NamedTuple):
         return rows
 
     def model_row(self, param, trace, seconds):
-        model = trace.final_model()
-        pred = self.cell.test_columns[:, list(model.selected)] @ model.coefficients
+        k = trace.k_fitted
+        pred = algorithms.prefix_predictions(trace, self.cell.test_columns, [k])[k]
         train_res = trace.residual_norms[-1] if trace.residual_norms else self.cell.y_norm
         return self.row(
-            param, self.test_rmse(pred), train_res, model.sparsity, trace.iterations,
+            param, self.test_rmse(pred), train_res, k, trace.iterations,
             trace.termination_reason, seconds,
         )
 
@@ -323,13 +329,13 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
     def fit(param):
         rng = np.random.default_rng([run.seed, 19, sigma_idx, method_idx])
         dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
-        result, seconds = time_fit(lambda: algo.fit(dm, y, param, crit, rng, config))
+        result, seconds = time_fit(lambda: algo.fit(dm, y, param, crit, rng))
         return result, seconds + extra
 
     if algo.grid == "k":
         try:
             trace, seconds = fit(max([1] + grid))
-        except Exception as exc:  # flagged rows, sweep continues
+        except (ArithmeticError, ValueError) as exc:  # numerical failures: flagged rows
             return [run.failed_row(k, exc) for k in grid]
         return run.prefix_rows(grid, trace, seconds)
 
@@ -340,7 +346,7 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
         try:
             # unnamed, so a trace and its QR factor are freed before the next fit
             rows.append(make_row(param, *fit(param)))
-        except Exception as exc:
+        except (ArithmeticError, ValueError) as exc:
             rows.append(run.failed_row(param, exc))
     return rows
 
@@ -388,9 +394,7 @@ class OracleRow:
     se_test_rmse: float
     mean_train_rmse: float
     mean_sparsity: float
-    mean_iterations: float
     mean_seconds: float
-    n_seeds: int
 
 
 def _mean_se(values):
@@ -423,9 +427,7 @@ def oracle_select(rows) -> list:
             se_test_rmse=se_test,
             mean_train_rmse=_mean_se([r.train_rmse for r in cell_rows])[0],
             mean_sparsity=float(np.mean([r.sparsity for r in cell_rows])),
-            mean_iterations=float(np.mean([r.iterations for r in cell_rows])),
             mean_seconds=float(np.mean([r.seconds for r in cell_rows])),
-            n_seeds=len(cell_rows),
         )
         key = (method, sigma)
         order = (mean_test, param, summary.mean_sparsity)

@@ -87,7 +87,6 @@ def _common_bench_flags(parser):
     parser.add_argument("--delta-grid", dest="delta_grid", help="lo:hi:count (log)")
     parser.add_argument("--lambda-grid", dest="lambda_grid", help="lo:hi:count (log)")
     parser.add_argument("--raw-atoms", action="store_true", help="skip column normalization")
-    parser.add_argument("--pgl-cap", dest="pgl_cap", type=int, default=None)
     parser.add_argument(
         "--include-materialization",
         action="store_true",
@@ -157,7 +156,6 @@ _CONFIG_PARSERS = {
     "k_grid": _parse_k_grid,
     "delta_grid": _parse_log_grid,
     "lambda_grid": _parse_log_grid,
-    "pgl_cap": int,
     "path": str,
     "target": str,
     "out": str,
@@ -193,9 +191,7 @@ def _bench_config(args, opt) -> ExperimentConfig:
         k_grid=opt("k_grid"),
         delta_grid=opt("delta_grid"),
         lambda_grid=opt("lambda_grid"),
-        pgl_cap=opt("pgl_cap", ExperimentConfig.pgl_cap),
         include_materialization=args.include_materialization,
-        timing=not args.no_timing,
     )
     if args.task == "sinc":
         config.m_train = opt("m_train", 1000)
@@ -223,13 +219,13 @@ def _cmd_bench(args) -> int:
     file_values = _load_config_file(args.config) if args.config else {}
     opt = functools.partial(_merged_option, args, file_values)
     config = _bench_config(args, opt)
-    out, fmt = opt("out"), opt("format", "csv")
+    out, fmt, timing = opt("out"), opt("format", "csv"), not args.no_timing
     rows = sweep(config)
     if out:
-        emit_report(rows, out, fmt, timing=config.timing)
+        emit_report(rows, out, fmt, timing=timing)
         print(f"wrote {len(rows)} rows to {out}")
     else:
-        sys.stdout.write(render_report(rows, fmt, timing=config.timing))
+        sys.stdout.write(render_report(rows, fmt, timing=timing))
     return 0
 
 

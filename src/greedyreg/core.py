@@ -44,11 +44,10 @@ def _frozen_array(values, dtype=float, ndim=None):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Paired inputs (m, d) and scalar targets (m,) with a train/test role."""
+    """Paired inputs (m, d) and scalar targets (m,)."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    role: str = "train"
 
     def __post_init__(self):
         inputs = np.array(self.inputs, dtype=float)
@@ -154,7 +153,6 @@ class SparseModel:
 
     selected: tuple
     coefficients: np.ndarray
-    truncation_bound: float | None = None
 
     def __post_init__(self):
         selected = tuple(int(i) for i in self.selected)

@@ -51,8 +51,8 @@ def gen_sinc(m_train: int, m_test: int, sigma: float, rng) -> tuple:
     y_train = sinc(x_train) + noise
     x_test = rng.uniform(-np.pi, np.pi, size=m_test)
     y_test = sinc(x_test)
-    train = Dataset(x_train.reshape(-1, 1), y_train, role="train")
-    test = Dataset(x_test.reshape(-1, 1), y_test, role="test")
+    train = Dataset(x_train.reshape(-1, 1), y_train)
+    test = Dataset(x_test.reshape(-1, 1), y_test)
     return train, test
 
 
@@ -101,7 +101,7 @@ def load_csv(path, target_column="last", header: bool = True) -> Dataset:
     features = np.delete(values, target_idx, axis=1)
     if features.shape[1] == 0:
         raise MissingTarget("file has a target but no feature columns")
-    return validate_dataset(Dataset(features, targets, role="train"))
+    return validate_dataset(Dataset(features, targets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +134,7 @@ def zscore_fit_apply(train: Dataset, test: Dataset):
     params = ZScoreParams(mu, sd, t_mu, t_sd)
 
     def apply(ds: Dataset) -> Dataset:
-        return Dataset(
-            (ds.inputs - mu) / sd, (ds.targets - t_mu) / t_sd, role=ds.role
-        )
+        return Dataset((ds.inputs - mu) / sd, (ds.targets - t_mu) / t_sd)
 
     return apply(train), apply(test), params
 
@@ -149,6 +147,6 @@ def split_half(dataset: Dataset, rng):
     perm = rng.permutation(m)
     cut = (m + 1) // 2
     train_idx, test_idx = perm[:cut], perm[cut:]
-    train = Dataset(dataset.inputs[train_idx], dataset.targets[train_idx], role="train")
-    test = Dataset(dataset.inputs[test_idx], dataset.targets[test_idx], role="test")
+    train = Dataset(dataset.inputs[train_idx], dataset.targets[train_idx])
+    test = Dataset(dataset.inputs[test_idx], dataset.targets[test_idx])
     return train, test

@@ -61,17 +61,19 @@ def truncate_values(values, bound: float) -> np.ndarray:
 class ProjectionState:
     """Incremental orthogonal projection of a fixed target vector y.
 
-    Maintains q_basis (columns empirically orthonormal), the upper
-    triangular factor mapping appended raw columns onto q_basis, and
-    the residual y minus its projection onto the selected span.  Single
-    owner: one fit mutates it via project_append, and its trace keeps
-    it for prefix solves; distinct fits never share a state.
+    Keeps its own copy of the target as ``y``, an empirically
+    orthonormal basis of the appended columns, the upper triangular
+    factor mapping those raw columns onto it, and the residual y minus
+    its projection onto the selected span.  Single owner: one fit
+    mutates it via project_append, and its trace keeps it for prefix
+    solves; distinct fits never share a state.
     """
 
     def __init__(self, y):
         y = np.array(y, dtype=float)
         if y.ndim != 1 or y.shape[0] == 0:
             raise ValueError("y must be a nonempty vector")
+        self.y = y
         self.m = y.shape[0]
         self.k = 0
         cap = 8
@@ -79,10 +81,6 @@ class ProjectionState:
         self._r = np.zeros((cap, cap))
         self.residual = y
         self.residual_norm = empirical_norm(y)
-
-    @property
-    def q_basis(self) -> np.ndarray:
-        return self._q[:, : self.k]
 
     def _grow(self):
         cap = self._q.shape[1]
@@ -99,7 +97,8 @@ class ProjectionState:
 def project_append(state: ProjectionState, column) -> ProjectionState:
     """Orthogonalize ``column`` against the basis and absorb it.
 
-    Updates the residual and its norm in place and returns the state.
+    Rebinds the residual (never writing into it, so ``state.y`` stays
+    the target) and updates its norm; returns the state.
     Raises DegenerateColumn (state untouched) when the column's
     orthogonal component has empirical norm below DEGENERATE_TOL; the
     caller should skip the atom.
@@ -130,8 +129,8 @@ def project_append(state: ProjectionState, column) -> ProjectionState:
     return state
 
 
-def solve_coefficients(state: ProjectionState, y, k=None) -> np.ndarray:
-    """Least-squares coefficients of y over the first k (default: all) raw columns.
+def solve_coefficients(state: ProjectionState, k=None) -> np.ndarray:
+    """Least-squares coefficients of the state's target over its first k (default: all) columns.
 
     Back-substitution through the leading k-by-k triangular block; the
     result minimizes the empirical norm of y minus their span combination.
@@ -139,10 +138,9 @@ def solve_coefficients(state: ProjectionState, y, k=None) -> np.ndarray:
     k = state.k if k is None else k
     if not 1 <= k <= state.k:
         raise ValueError(f"prefix length must be in [1, {state.k}], got {k}")
-    y = np.asarray(y, dtype=float)
     r = state._r[:k, :k]
     diag = np.abs(np.diag(r))
     if diag.min() < DEGENERATE_TOL:
         raise SingularFactor("triangular factor is numerically singular")
-    z = (state._q[:, :k].T @ y) / state.m
+    z = (state._q[:, :k].T @ state.y) / state.m
     return solve_triangular(r, z, lower=False)

@@ -271,7 +271,7 @@ def test_criterion_6_oracle_equivalences():
         state = ProjectionState(y)
         for j in range(k):
             project_append(state, g[:, j])
-        coef = solve_coefficients(state, y)
+        coef = solve_coefficients(state)
         oracle = np.linalg.solve(g.T @ g, g.T @ y)
         scale = max(1.0, float(np.max(np.abs(oracle))))
         if np.max(np.abs(coef - oracle)) / scale > 1e-8:
@@ -326,7 +326,7 @@ def test_criterion_7_invariant_suites():
         state = ProjectionState(y)
         for idx in trace.selected:
             project_append(state, dm.columns[:, idx])
-        q = state.q_basis
+        q = state._q[:, : state.k]
         gram_err = np.max(np.abs(q.T @ q / state.m - np.eye(state.k)))
         res_err = np.max(np.abs(q.T @ state.residual / state.m))
         if gram_err > 1e-8 or res_err > 1e-8:

@@ -304,11 +304,6 @@ class TestPredict:
         pred = predict(model, spec, np.array([[0.0]]), truncate_at=0.5)
         assert pred[0] == pytest.approx(0.5)
 
-    def test_model_bound_used_when_no_override(self):
-        spec = RbfSpec(np.array([[0.0]]), 1.0)
-        model = SparseModel((0,), np.array([2.0]), truncation_bound=1.0)
-        assert predict(model, spec, np.array([[0.0]]))[0] == pytest.approx(1.0)
-
     def test_index_out_of_range(self):
         spec = RbfSpec(np.array([[0.0]]), 1.0)
         model = SparseModel((3,), np.array([1.0]))

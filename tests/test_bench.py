@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from greedyreg import algorithms, bench
 from greedyreg.bench import (
     DEFAULT_DELTA_GRID,
     EmptyTable,
@@ -107,17 +110,43 @@ class TestSweep:
         keys = [(r.sigma, r.parameter, r.seed) for r in ogl_rows]
         assert keys == sorted(keys)
 
-    def test_failures_become_flagged_rows(self):
-        cfg = _tiny_config(
-            methods=[parse_method("dtogl:first")],
-            delta_grid=[0.01, 1.5],  # 1.5 is outside (0, 1): the run fails
-        )
+    def test_failures_become_flagged_rows(self, monkeypatch):
+        real_fit = algorithms.fit_delta_togl
+
+        def fit_failing_at_half(dm, y, delta, *args):
+            if delta == 0.5:
+                raise ArithmeticError("injected")
+            return real_fit(dm, y, delta, *args)
+
+        monkeypatch.setattr(algorithms, "fit_delta_togl", fit_failing_at_half)
+        cfg = _tiny_config(methods=[parse_method("dtogl:first")], delta_grid=[0.01, 0.5])
         rows = sweep(cfg)
         assert len(rows) == 2
         flagged = [r for r in rows if r.termination.startswith("error:")]
         assert len(flagged) == 1
-        assert flagged[0].parameter == 1.5
+        assert flagged[0].parameter == 0.5
         assert np.isinf(flagged[0].test_rmse)
+
+    def test_flagged_row_explains_itself_on_stderr(self, monkeypatch, capsys):
+        def fit_failing(*args):
+            raise ArithmeticError("factor went singular")
+
+        monkeypatch.setattr(algorithms, "fit_delta_togl", fit_failing)
+        sweep(_tiny_config(methods=[parse_method("dtogl:first")], delta_grid=[0.25]))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "flagged: dtogl:first param=0.25 sigma=0.1 seed=0: "
+            "ArithmeticError: factor went singular"
+        ]
+
+    def test_bug_in_a_fit_propagates(self, monkeypatch):
+        def fit_with_bug(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(algorithms, "fit_ogl", fit_with_bug)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            sweep(_tiny_config(methods=[parse_method("ogl:max")]))
 
     def test_prefix_rows_share_fit_and_clamp(self):
         cfg = _tiny_config(methods=[parse_method("ogl:max")], k_grid=[0, 3, 9999])
@@ -162,14 +191,24 @@ class TestSweep:
         assert len(rows) == 3 + 3
         assert all(np.isfinite(r.test_rmse) for r in rows)
 
-    def test_materialization_flag_adds_time(self):
-        cfg = _tiny_config(
-            methods=[parse_method("dtogl:first")],
-            delta_grid=[1e-3],
-            include_materialization=True,
-        )
-        rows = sweep(cfg)
-        assert len(rows) == 1 and rows[0].seconds > 0
+    def test_materialization_flag_adds_time(self, monkeypatch):
+        pause = 0.2
+        real_design = bench.evaluate_design
+
+        def slow_design(*args):
+            time.sleep(pause)
+            return real_design(*args)
+
+        monkeypatch.setattr(bench, "evaluate_design", slow_design)
+        for include in (True, False):
+            cfg = _tiny_config(
+                methods=[parse_method("dtogl:first")],
+                delta_grid=[1e-3],
+                include_materialization=include,
+            )
+            rows = sweep(cfg)
+            assert len(rows) == 1
+            assert (rows[0].seconds >= pause) == include
 
     def test_csv_task(self, tmp_path):
         rng = np.random.default_rng(0)

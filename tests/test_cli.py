@@ -162,6 +162,20 @@ class TestBenchCommand:
         assert "unknown format 'html'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "extra, grid",
+        [
+            (["--delta-grid", "1e-3:2:3"], "delta_grid"),
+            (["--methods", "ogl:max", "--k-grid=-2,0,3"], "k_grid"),
+        ],
+    )
+    def test_out_of_range_grid_fails(self, tmp_path, capsys, extra, grid):
+        code = main(_bench_args(tmp_path / "x.csv") + extra)
+        assert code == 1
+        assert f"error: {grid} values must be" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestFitCommand:
     def test_prints_report_fields(self, capsys):
         code = main(
@@ -188,6 +202,17 @@ class TestFitCommand:
         )
         assert code == 1
         assert "--raw-atoms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, grid",
+        [("dtogl:max@1.5", "delta_grid"), ("ridge@-1", "lambda_grid"), ("ogl:max@-2", "k_grid")],
+    )
+    def test_out_of_range_parameter_fails(self, capsys, method, grid):
+        code = main(
+            ["fit", "--method", method, "--m-train", "60", "--m-test", "30", "--n", "20"]
+        )
+        assert code == 1
+        assert f"error: {grid} values must be" in capsys.readouterr().err
 
     def test_method_without_parameter_fails(self, capsys):
         code = main(["fit", "--method", "ogl:max"])

@@ -38,7 +38,6 @@ class TestGenSinc:
     def test_roles_and_sizes(self):
         train, test = gen_sinc(7, 9, 0.5, np.random.default_rng(2))
         assert (train.m, test.m) == (7, 9)
-        assert (train.role, test.role) == ("train", "test")
 
     def test_inputs_in_range(self):
         train, test = gen_sinc(200, 200, 1.0, np.random.default_rng(3))
