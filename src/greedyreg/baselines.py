@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import DesignMatrix
+from .core import CONVERGED, FIXED_K, MAX_ITER, DesignMatrix
 
 
 class FactorizationFailure(ArithmeticError):
@@ -23,11 +23,18 @@ class FactorizationFailure(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class DenseModel:
-    """Coefficients over the whole dictionary plus the weight that produced them."""
+    """Coefficients over the whole dictionary plus the weight that produced them.
+
+    An iterative fit also says why it stopped (``converged`` or
+    ``max_iter``) and the relative duality gap of the returned
+    coefficients; a closed-form fit is ``fixed_k`` with no gap.
+    """
 
     coefficients: np.ndarray
     lam: float
     iterations_used: int = 0
+    termination: str = FIXED_K
+    rel_gap: float | None = None
 
     def __post_init__(self):
         coefficients = np.asarray(self.coefficients, dtype=float)
@@ -44,10 +51,9 @@ def fit_ridge(dm: DesignMatrix, y, lam: float) -> DenseModel:
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     y = np.asarray(y, dtype=float)
-    g = dm.columns
-    gram = (g.T @ g) / dm.m
+    gram = dm.gram.copy()
     gram[np.diag_indices_from(gram)] += lam
-    rhs = (g.T @ y) / dm.m
+    rhs = (dm.columns.T @ y) / dm.m
     try:
         coef = cho_solve(cho_factor(gram), rhs)
     except np.linalg.LinAlgError as exc:
@@ -62,19 +68,19 @@ def _soft_threshold_vec(values, t):
 def lipschitz_estimate(dm: DesignMatrix) -> float:
     """Largest eigenvalue of G'G/m by power iteration, inflated by 1.01.
 
-    The inflation keeps the 1/L gradient step safely inside the stable
-    region despite the iteration's finite tolerance.
+    The iteration runs on the live block of ``dm.gram``.  The inflation
+    keeps the 1/L gradient step safely inside the stable region despite
+    the iteration's finite tolerance.
     """
-    g = dm.columns[:, dm.live]
-    if g.shape[1] == 0:
+    gram = dm.gram[np.ix_(dm.live, dm.live)]
+    if gram.shape[0] == 0:
         raise ValueError("no live columns")
-    m = dm.m
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(g.shape[1])
+    v = rng.standard_normal(gram.shape[0])
     v /= np.linalg.norm(v)
     lam_prev = 0.0
     for _ in range(1000):
-        w = g.T @ (g @ v) / m
+        w = gram @ v
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
             return 1.01e-30
@@ -90,48 +96,66 @@ def lasso_objective(dm: DesignMatrix, y, coef, lam: float) -> float:
     return float(resid @ resid) / (2 * dm.m) + lam * float(np.sum(np.abs(coef)))
 
 
+def _objective_and_gap(x, gx, b, yy, lam):
+    """Lasso objective of x and its relative duality gap, from gx = G'G x / m.
+
+    With b = G'y/m and yy = y'y/m, the mean squared residual is
+    yy - 2 b'x + x'gx and G'(y - Gx)/m is b - gx.  The dual point is the
+    residual rescaled so that ||G' theta||_inf <= m lam (Fercoq, Gramfort
+    & Salmon 2015); the gap is primal minus dual over primal.
+    """
+    bx = float(b @ x)
+    mean_sq_resid = yy - 2.0 * bx + float(x @ gx)
+    primal = 0.5 * mean_sq_resid + lam * float(np.abs(x).sum())
+    top = float(np.abs(b - gx).max())
+    scale = min(1.0, lam / top) if top > 0 else 1.0
+    dual = scale * (yy - bx) - 0.5 * scale * scale * mean_sq_resid
+    return primal, (primal - dual) / primal if primal > 0 else 0.0
+
+
 def fit_fista(
-    dm: DesignMatrix, y, lam: float, max_iter: int = 5000, tol: float = 1e-8
+    dm: DesignMatrix, y, lam: float, max_iter: int = 10000, tol: float = 1e-6
 ) -> DenseModel:
     """Accelerated proximal-gradient lasso solve (monotone variant).
 
     Fixed step 1/L with L from lipschitz_estimate, soft-threshold by
     lam/L, and the usual momentum sequence; the accepted iterate only
     moves when the objective does not increase, which keeps the
-    objective nonincreasing without changing the fixed point.  Stops at
-    max_iter or when the relative change of the proximal iterate falls
-    below tol; non-convergence is visible as iterations_used == max_iter.
+    objective nonincreasing without changing the fixed point.  Every
+    product runs on the n x n ``dm.gram``: one matvec per iteration,
+    with the momentum's product taken by linearity.  Stops as
+    ``converged`` once the relative duality gap of the accepted iterate
+    is at most tol, else as ``max_iter``; the model carries that gap.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     y = np.asarray(y, dtype=float)
-    g = dm.columns
-    m = dm.m
+    gram = dm.gram
+    b = dm.columns.T @ y / dm.m
+    yy = float(y @ y) / dm.m
     lip = lipschitz_estimate(dm)
     step_threshold = lam / lip
 
-    x = np.zeros(dm.n)
-    z_prev = x
-    momentum = x
-    obj = lasso_objective(dm, y, x, lam)
+    x = gx = momentum = g_momentum = np.zeros(dm.n)
+    obj, gap = _objective_and_gap(x, gx, b, yy, lam)
     t = 1.0
-    used = 0
-    for it in range(1, max_iter + 1):
-        used = it
-        grad = g.T @ (g @ momentum - y) / m
-        z = _soft_threshold_vec(momentum - grad / lip, step_threshold)
-        obj_z = lasso_objective(dm, y, z, lam)
+    termination = MAX_ITER
+    for used in range(1, max_iter + 1):
+        z = _soft_threshold_vec(momentum - (g_momentum - b) / lip, step_threshold)
+        gz = gram @ z
+        obj_z, gap_z = _objective_and_gap(z, gz, b, yy, lam)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         if obj_z <= obj:
-            x_next = z
-            obj = obj_z
+            x_next, gx_next, obj, gap = z, gz, obj_z, gap_z
         else:
-            x_next = x
-        momentum = x_next + (t / t_next) * (z - x_next) + ((t - 1.0) / t_next) * (x_next - x)
-        change = np.linalg.norm(z - z_prev)
-        x, z_prev, t = x_next, z, t_next
-        if change <= tol * max(1.0, np.linalg.norm(z)):
+            x_next, gx_next = x, gx
+        a, c = t / t_next, (t - 1.0) / t_next
+        momentum = x_next + a * (z - x_next) + c * (x_next - x)
+        g_momentum = gx_next + a * (gz - gx_next) + c * (gx_next - gx)
+        x, gx, t = x_next, gx_next, t_next
+        if gap <= tol:
+            termination = CONVERGED
             break
-    return DenseModel(x, lam, used)
+    return DenseModel(x, lam, used, termination, gap)

@@ -150,7 +150,7 @@ def parse_method(text: str) -> MethodSpec:
 
 
 _GRID_VALUES = {
-    "k_grid": (">= 0", lambda k: k >= 0),
+    "k_grid": ("integers >= 0", lambda k: k >= 0 and float(k).is_integer()),
     "delta_grid": ("in (0, 1)", lambda delta: 0 < delta < 1),
     "lambda_grid": ("> 0", lambda lam: lam > 0),
 }
@@ -318,7 +318,8 @@ class _Run(NamedTuple):
         # A closed-form solve (no iterations) counts one iteration per atom.
         iterations = model.iterations_used or dm.n
         return self.row(
-            param, self.test_rmse(pred), train_res, model.sparsity(), iterations, FIXED_K, seconds
+            param, self.test_rmse(pred), train_res, model.sparsity(), iterations,
+            model.termination, seconds,
         )
 
 

@@ -50,11 +50,15 @@ def _parse_log_grid(text):
 
 
 def _parse_k_grid(text):
-    """'lo:hi' -> integers lo..hi inclusive, or a comma list."""
+    """'lo:hi' -> integers lo..hi inclusive, or a comma list of numbers.
+
+    A listed value is not truncated here: ExperimentConfig.validate
+    rejects a fractional k and names the grid.
+    """
     if ":" in text:
         lo_text, hi_text = text.split(":")
         return list(range(int(lo_text), int(hi_text) + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def _parse_format(text):

@@ -6,6 +6,7 @@ construction (backing arrays are marked read-only) so they can be shared
 freely across concurrent fits.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,9 @@ RESIDUAL_RATIO = "residual_ratio"
 FIXED_K = "fixed_k"
 DICTIONARY_EXHAUSTED = "dictionary_exhausted"
 ZERO_RESIDUAL = "zero_residual"
+# Iterative dense solves: certified by their stop test, or out of budget.
+CONVERGED = "converged"
+MAX_ITER = "max_iter"
 
 
 class NonFinite(ValueError):
@@ -126,6 +130,13 @@ class DesignMatrix:
     @property
     def n(self) -> int:
         return self.columns.shape[1]
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only G'G/m over every stored column, built on first use."""
+        gram = (self.columns.T @ self.columns) / self.m
+        gram.setflags(write=False)
+        return gram
 
     def scales(self) -> np.ndarray:
         """Per-column factor mapping column-basis coefficients to raw atoms."""

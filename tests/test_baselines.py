@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from greedyreg import bench
 from greedyreg.baselines import (
     DenseModel,
     _soft_threshold_vec,
@@ -9,7 +13,7 @@ from greedyreg.baselines import (
     lasso_objective,
     lipschitz_estimate,
 )
-from greedyreg.core import DesignMatrix
+from greedyreg.core import CONVERGED, FIXED_K, MAX_ITER, DesignMatrix
 from greedyreg.linalg import empirical_norm
 
 
@@ -79,6 +83,20 @@ class TestRidge:
         with pytest.raises(ValueError):
             fit_ridge(dm, np.ones(3), 0.0)
 
+    def test_cached_gram_leaves_coefficients_bit_identical(self):
+        for seed in range(10):
+            r = np.random.default_rng(seed + 40)
+            dm = _random_design(r, 30, 12)
+            y = r.standard_normal(30)
+            lam = float(r.uniform(1e-6, 1.0))
+            g = dm.columns
+            inline = (g.T @ g) / dm.m
+            inline[np.diag_indices_from(inline)] += lam
+            expected = cho_solve(cho_factor(inline), (g.T @ y) / dm.m)
+            model = fit_ridge(dm, y, lam)
+            assert np.array_equal(model.coefficients, expected)
+            assert model.termination == FIXED_K and model.rel_gap is None
+
     def test_dense_sparsity_counts_all(self):
         rng = np.random.default_rng(3)
         dm = _random_design(rng, 12, 5)
@@ -123,6 +141,8 @@ class TestFista:
         inner = cols.T @ y / 16
         expected = np.sign(inner) * np.maximum(np.abs(inner) - lam, 0.0)
         np.testing.assert_allclose(model.coefficients, expected, atol=1e-8)
+        assert model.termination == CONVERGED
+        assert fit_fista(dm, y, lam).termination == CONVERGED
 
     def test_objective_matches_coordinate_descent_oracle(self):
         rng = np.random.default_rng(8)
@@ -156,6 +176,36 @@ class TestFista:
         y = rng.standard_normal(15)
         model = fit_fista(dm, y, 1e-6, max_iter=3, tol=0.0)
         assert model.iterations_used == 3
+        assert model.termination == MAX_ITER
+
+    def test_gap_matches_column_form(self):
+        # budgets from 1 to 300 iterations leave gaps across many decades
+        for trial in range(20):
+            r = np.random.default_rng(trial + 100)
+            m, n = int(r.integers(10, 40)), int(r.integers(3, 30))
+            dm = _random_design(r, m, n)
+            y = r.standard_normal(m)
+            lam = float(r.uniform(1e-3, 0.3))
+            model = fit_fista(dm, y, lam, max_iter=int(r.integers(1, 300)), tol=0.0)
+            expected = _column_form_gap(dm.columns, y, model.coefficients, lam)
+            assert abs(model.rel_gap - expected) <= 1e-9
+
+    def test_converged_fits_are_certified(self):
+        converged = 0
+        for trial in range(20):
+            r = np.random.default_rng(trial + 200)
+            m, n = int(r.integers(10, 60)), int(r.integers(3, 40))
+            dm = _random_design(r, m, n)
+            y = r.standard_normal(m)
+            lam = float(10 ** r.uniform(-4, -0.5))
+            model = fit_fista(dm, y, lam)
+            if model.termination == CONVERGED:
+                converged += 1
+                assert model.rel_gap <= 1e-6
+                assert _column_form_gap(dm.columns, y, model.coefficients, lam) <= 1e-6
+            else:
+                assert model.termination == MAX_ITER and model.iterations_used == 10000
+        assert converged >= 15
 
     def test_rejects_bad_args(self):
         dm = _design(np.eye(3))
@@ -163,6 +213,59 @@ class TestFista:
             fit_fista(dm, np.ones(3), -1.0)
         with pytest.raises(ValueError):
             fit_fista(dm, np.ones(3), 0.1, max_iter=0)
+
+
+def _column_form_gap(columns, y, coef, lam):
+    """Relative lasso duality gap from the m x n columns, dual point by residual rescaling."""
+    m = columns.shape[0]
+    resid = y - columns @ coef
+    primal = 0.5 * float(resid @ resid) + m * lam * float(np.abs(coef).sum())
+    top = float(np.abs(columns.T @ resid).max())
+    theta = resid * min(1.0, m * lam / top) if top > 0 else resid
+    dual = 0.5 * float(y @ y) - 0.5 * float((y - theta) @ (y - theta))
+    return (primal - dual) / primal
+
+
+class TestGramCache:
+    @pytest.fixture
+    def gram_builds(self, monkeypatch):
+        """The design of every Gram build during the test, in build order."""
+        builds = []
+        build = DesignMatrix.gram.func
+
+        def counted(dm):
+            builds.append(dm)
+            return build(dm)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(DesignMatrix, "gram")
+        monkeypatch.setattr(DesignMatrix, "gram", cached)
+        return builds
+
+    def _sweep(self, methods):
+        return bench.sweep(
+            bench.ExperimentConfig(
+                methods=[bench.parse_method(m) for m in methods], seeds=[0, 1], m_train=60,
+                m_test=30, n=20, sigmas=[0.1], k_grid=[0, 3], delta_grid=[1e-2],
+                lambda_grid=[1e-3, 1e-1],
+            )
+        )
+
+    def test_greedy_sweep_never_builds_it(self, gram_builds):
+        self._sweep(["ogl:max", "togl:max", "dtogl:first", "pgl"])
+        assert gram_builds == []
+
+    def test_dense_sweep_builds_it_once_per_cell(self, gram_builds):
+        self._sweep(["ridge", "fista"])
+        assert len(gram_builds) == 2
+        assert gram_builds[0] is not gram_builds[1]
+
+    def test_read_only(self):
+        dm = _random_design(np.random.default_rng(11), 8, 3)
+        assert dm.gram is dm.gram
+        np.testing.assert_allclose(dm.gram, dm.columns.T @ dm.columns / 8, atol=1e-15)
+        with pytest.raises(ValueError):
+            dm.gram[0, 0] = 1.0
 
 
 def test_dense_model_rejects_nonfinite():

@@ -167,6 +167,7 @@ class TestBenchCommand:
         [
             (["--delta-grid", "1e-3:2:3"], "delta_grid"),
             (["--methods", "ogl:max", "--k-grid=-2,0,3"], "k_grid"),
+            (["--methods", "ogl:max", "--k-grid", "2.5"], "k_grid"),
         ],
     )
     def test_out_of_range_grid_fails(self, tmp_path, capsys, extra, grid):
@@ -174,6 +175,19 @@ class TestBenchCommand:
         assert code == 1
         assert f"error: {grid} values must be" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_dense_rows_say_why_they_stopped(self, capsys):
+        code = main(
+            ["bench", "sinc", "--m-train", "100", "--m-test", "60", "--n", "30",
+             "--sigma", "0.1", "--methods", "ridge,fista", "--lambda-grid", "1e-6:1e-1:4",
+             "--seeds", "2", "--no-timing"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        terminations = {(row[0], row[8]) for row in rows if not row[0].startswith("#")}
+        assert {method for method, _ in terminations} == {"ridge", "fista"}
+        for method, termination in terminations:
+            assert termination in (("fixed_k",) if method == "ridge" else ("converged", "max_iter"))
 
 
 class TestFitCommand:
@@ -205,7 +219,12 @@ class TestFitCommand:
 
     @pytest.mark.parametrize(
         "method, grid",
-        [("dtogl:max@1.5", "delta_grid"), ("ridge@-1", "lambda_grid"), ("ogl:max@-2", "k_grid")],
+        [
+            ("dtogl:max@1.5", "delta_grid"),
+            ("ridge@-1", "lambda_grid"),
+            ("ogl:max@-2", "k_grid"),
+            ("ogl:max@2.5", "k_grid"),
+        ],
     )
     def test_out_of_range_parameter_fails(self, capsys, method, grid):
         code = main(
