@@ -22,7 +22,7 @@ from .core import (
     SparseModel,
 )
 from .dictionary import RbfSpec, evaluate_atoms
-from .greedy import Criterion, correlation, select_atom, validate_delta
+from .greedy import CandidatePool, Criterion, correlation, select_atom, validate_delta
 from .linalg import (
     DegenerateColumn,
     ProjectionState,
@@ -50,7 +50,8 @@ class FitTrace:
     coefficients of any prefix are solved when read; additive fits leave
     ``state`` None and store the scalar raw-atom increment per step.
     ``iterations`` counts selection attempts including degenerate
-    columns that were skipped.
+    columns that were skipped; ``atoms_scanned`` counts the
+    atom-residual correlations the selection computed.
     """
 
     selected: list
@@ -59,12 +60,18 @@ class FitTrace:
     selected_correlations: list
     termination_reason: str
     iterations: int
+    atoms_scanned: int
     dm: DesignMatrix | None = None
     state: ProjectionState | None = None
 
     @property
     def k_fitted(self) -> int:
         return len(self.selected)
+
+    @property
+    def degenerate_skips(self) -> int:
+        """Attempts whose column lay in the selected span and was skipped."""
+        return self.iterations - self.k_fitted
 
     def prefix_model(self, k: int) -> SparseModel:
         """Model after the first k iterations (k clamped to the trace)."""
@@ -104,6 +111,7 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
     y_norm = _check_target(y)
     state = ProjectionState(y)
     excluded = np.zeros(dm.n, dtype=bool)
+    pool = CandidatePool()
     selected = []
     residual_norms, selected_corrs = [], []
     attempts = 0
@@ -117,7 +125,7 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
         if ratio_delta is not None and state.residual_norm <= ratio_delta * y_norm:
             reason = RESIDUAL_RATIO
             break
-        idx = select_atom(dm, state.residual, state.residual_norm, criterion, excluded, rng)
+        idx = select_atom(dm, state.residual, state.residual_norm, criterion, excluded, rng, pool)
         if idx is None:
             if criterion.thresholded and bool((dm.live & ~excluded).any()):
                 reason = NO_ACTIVE_ATOM
@@ -126,16 +134,20 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
             break
         attempts += 1
         corr = correlation(state.residual, state.residual_norm, dm.columns[:, idx])
+        excluded[idx] = True
         try:
             project_append(state, dm.columns[:, idx])
         except DegenerateColumn:
-            excluded[idx] = True
+            # The residual is unchanged, so the pool still holds its candidates.
+            pool.skip(idx)
             continue
-        excluded[idx] = True
+        pool.reset()
         selected.append(idx)
         residual_norms.append(state.residual_norm)
         selected_corrs.append(corr)
-    return FitTrace(selected, None, residual_norms, selected_corrs, reason, attempts, dm, state)
+    return FitTrace(
+        selected, None, residual_norms, selected_corrs, reason, attempts, pool.scanned, dm, state
+    )
 
 
 def fit_ogl(dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None) -> FitTrace:
@@ -188,10 +200,12 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
     selected, increments = [], []
     residual_norms, selected_corrs = [], []
     reason = None
+    scans = 0
     for _ in range(k_max):
         if residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
             reason = ZERO_RESIDUAL
             break
+        scans += 1
         inner = (dm.columns.T @ residual) / dm.m
         inner[~dm.live] = 0.0
         idx = int(np.argmax(np.abs(inner)))
@@ -207,7 +221,9 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
         residual_norms.append(residual_norm)
     if reason is None:
         reason = FIXED_K
-    return FitTrace(selected, increments, residual_norms, selected_corrs, reason, len(selected))
+    return FitTrace(
+        selected, increments, residual_norms, selected_corrs, reason, len(selected), scans * dm.n
+    )
 
 
 def predict(model: SparseModel, spec: RbfSpec, inputs, truncate_at=None) -> np.ndarray:

@@ -66,29 +66,12 @@ def _soft_threshold_vec(values, t):
 
 
 def lipschitz_estimate(dm: DesignMatrix) -> float:
-    """Largest eigenvalue of G'G/m by power iteration, inflated by 1.01.
+    """Lipschitz constant of the lasso gradient step: ``dm.lipschitz``.
 
-    The iteration runs on the live block of ``dm.gram``.  The inflation
-    keeps the 1/L gradient step safely inside the stable region despite
-    the iteration's finite tolerance.
+    The power iteration behind it depends on the design alone, so it
+    runs once per design however many lambdas are fitted.
     """
-    gram = dm.gram[np.ix_(dm.live, dm.live)]
-    if gram.shape[0] == 0:
-        raise ValueError("no live columns")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for _ in range(1000):
-        w = gram @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 1.01e-30
-        v = w / lam
-        if abs(lam - lam_prev) <= 1e-6 * lam:
-            break
-        lam_prev = lam
-    return 1.01 * lam
+    return dm.lipschitz
 
 
 def lasso_objective(dm: DesignMatrix, y, coef, lam: float) -> float:

@@ -138,6 +138,32 @@ class DesignMatrix:
         gram.setflags(write=False)
         return gram
 
+    @functools.cached_property
+    def lipschitz(self) -> float:
+        """Largest eigenvalue of G'G/m by power iteration, inflated by 1.01; run on first use.
+
+        The iteration runs on the live block of ``gram`` from a fixed
+        seed.  The inflation keeps a 1/L gradient step safely inside the
+        stable region despite the iteration's finite tolerance.
+        """
+        gram = self.gram[np.ix_(self.live, self.live)]
+        if gram.shape[0] == 0:
+            raise ValueError("no live columns")
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(gram.shape[0])
+        v /= np.linalg.norm(v)
+        lam_prev = 0.0
+        for _ in range(1000):
+            w = gram @ v
+            lam = float(np.linalg.norm(w))
+            if lam == 0.0:
+                return 1.01e-30
+            v = w / lam
+            if abs(lam - lam_prev) <= 1e-6 * lam:
+                break
+            lam_prev = lam
+        return 1.01 * lam
+
     def scales(self) -> np.ndarray:
         """Per-column factor mapping column-basis coefficients to raw atoms."""
         if self.normalized:

@@ -6,6 +6,18 @@ when columns have unit empirical norm).  Thresholded criteria restrict
 the candidate pool to atoms whose correlation strictly exceeds delta;
 the "first" criterion scans in dictionary order and stops at the first
 atom above threshold, which is what makes large dictionaries cheap.
+
+A fit may pass a CandidatePool that it owns.  The pool keeps what one
+residual's scan found: the ranked order of the eligible atoms (ranked
+kinds), the eligible atoms in index order ("rand"), or the index where
+the next scan starts ("first").  An atom whose column turns out to be
+degenerate is skipped, and the residual and every correlation stay the
+same; so after a skip the fit takes that atom out of the pool, and the
+next attempt reads the pool instead of scanning again (as in Batch-OMP,
+Rubinstein, Zibulevsky & Elad 2008).  After a successful append the fit
+resets the pool.  Picks from a pool equal those of a fresh scan bit for
+bit: sorting is stable, and a resumed "first" scan starts at the start
+of the skipped atom's block, so every block is computed as before.
 """
 
 from dataclasses import dataclass
@@ -86,6 +98,32 @@ def _as_mask(excluded, n: int) -> np.ndarray:
     return mask
 
 
+class CandidatePool:
+    """Candidates of one residual, kept by a fit across degenerate skips.
+
+    ``order`` is None until a ranked or "rand" scan fills it; ``resume``
+    is the first index the next "first" scan may return.  ``scanned``
+    counts the correlations computed over the pool's lifetime, through
+    every reset.
+    """
+
+    def __init__(self):
+        self.scanned = 0
+        self.reset()
+
+    def reset(self):
+        """Forget the candidates: the residual has changed."""
+        self.order = None
+        self.resume = 0
+
+    def skip(self, idx: int):
+        """Drop atom ``idx``, which the fit could not use; the residual is unchanged."""
+        if self.order is None:
+            self.resume = idx + 1
+        else:
+            self.order = self.order[self.order != idx]
+
+
 def select_atom(
     dm: DesignMatrix,
     residual,
@@ -93,6 +131,7 @@ def select_atom(
     criterion: Criterion,
     excluded=None,
     rng=None,
+    pool=None,
 ):
     """Pick the next atom index, or None when no candidate remains.
 
@@ -102,40 +141,58 @@ def select_atom(
     falling back to the last candidate when the pool is smaller than the
     rank.  "rand" draws uniformly from the pool; "first" returns the
     lowest-index atom above threshold without scanning the rest.
+    ``pool`` (a CandidatePool) is read instead of scanning when it holds
+    candidates of this residual, and is filled when it does not.
     """
     if residual_norm <= 0:
         raise ZeroResidual("residual norm must be positive")
+    if pool is None:
+        pool = CandidatePool()
     mask = _as_mask(excluded, dm.n)
 
     if criterion.kind == "first":
-        return _first_above(dm, residual, residual_norm, criterion.delta, mask)
+        return _first_above(dm, residual, residual_norm, criterion.delta, mask, pool)
 
-    corr = all_correlations(dm, residual, residual_norm)
-    eligible = dm.live & ~mask
-    if criterion.thresholded:
-        eligible &= corr > criterion.delta
-    candidates = np.flatnonzero(eligible)
-    if candidates.size == 0:
+    if pool.order is None:
+        pool.order = _eligible_order(dm, residual, residual_norm, criterion, mask)
+        pool.scanned += dm.n
+    order = pool.order
+    if order.size == 0:
         return None
 
     if criterion.kind == "rand":
         if rng is None:
             raise ValueError("'rand' criterion requires an rng")
-        return int(rng.choice(candidates))
+        return int(order[rng.choice(order.size)])
 
     rank = _RANK[criterion.kind]
-    # Stable sort on -corr: descending values, ties by ascending index.
-    order = candidates[np.argsort(-corr[candidates], kind="stable")]
     return int(order[min(rank, order.size) - 1])
 
 
-def _first_above(dm, residual, residual_norm, delta, mask):
+def _eligible_order(dm, residual, residual_norm, criterion, mask):
+    """Eligible atoms: best first for ranked kinds, by index for "rand"."""
+    corr = all_correlations(dm, residual, residual_norm)
+    eligible = dm.live & ~mask
+    if criterion.thresholded:
+        eligible &= corr > criterion.delta
+    candidates = np.flatnonzero(eligible)
+    if criterion.kind == "rand":
+        return candidates
+    # Stable sort on -corr: descending values, ties by ascending index.
+    return candidates[np.argsort(-corr[candidates], kind="stable")]
+
+
+def _first_above(dm, residual, residual_norm, delta, mask, pool):
     residual = np.asarray(residual, dtype=float)
     scale = dm.m * residual_norm
-    for start in range(0, dm.n, _SCAN_BLOCK):
+    resume = pool.resume
+    # Start at the block boundary, so each block's correlations are computed as in a full scan.
+    for start in range(resume - resume % _SCAN_BLOCK, dm.n, _SCAN_BLOCK):
         stop = min(start + _SCAN_BLOCK, dm.n)
         corr = np.abs(dm.columns[:, start:stop].T @ residual) / scale
+        pool.scanned += stop - start
         ok = (corr > delta) & dm.live[start:stop] & ~mask[start:stop]
+        ok[: max(resume - start, 0)] = False
         hits = np.flatnonzero(ok)
         if hits.size:
             return int(start + hits[0])

@@ -14,6 +14,7 @@ import pytest
 
 from oracles import coordinate_descent_lasso, naive_omp
 
+from greedyreg import algorithms
 from greedyreg.algorithms import fit_delta_togl, fit_ogl, prefix_predictions
 from greedyreg.baselines import fit_fista, fit_ridge, lasso_objective
 from greedyreg.bench import (
@@ -206,6 +207,43 @@ def test_criterion_4_speed_direction_large_dictionary():
     _report(4, all(checks.values()), detail)
     failed = [name for name, ok in checks.items() if not ok]
     assert not failed, f"failed: {failed}; {detail}"
+
+
+def test_criterion_4_atoms_scanned_large_dictionary(monkeypatch):
+    """Criterion 4's cells, counted instead of timed: every dtogl:first fit on
+    the default delta grid computes under a quarter of the atom-residual
+    correlations that the cell's ogl:max fit computes."""
+    scanned = []  # (fit name, atoms scanned) in sweep order: per cell, ogl then dtogl
+    for name in ("fit_ogl", "fit_delta_togl"):
+
+        def counted(*args, _fit=getattr(algorithms, name), _name=name, **kwargs):
+            trace = _fit(*args, **kwargs)
+            scanned.append((_name, trace.atoms_scanned))
+            return trace
+
+        monkeypatch.setattr(algorithms, name, counted)
+    cfg = ExperimentConfig(
+        task="sinc",
+        methods=[parse_method(m) for m in ("ogl:max", "dtogl:first")],
+        seeds=[0, 1],
+        m_train=1000,
+        m_test=1000,
+        n=2000,
+        sigmas=[0.1],
+    )
+    sweep(cfg)
+    cells = []
+    for name, count in scanned:
+        if name == "fit_ogl":
+            cells.append((count, []))
+        else:
+            cells[-1][1].append(count)
+    ok = len(cells) == 2 and all(
+        len(scans) == 50 and max(scans) < 0.25 * full for full, scans in cells
+    )
+    detail = "; ".join(f"ogl:max {full}, dtogl:first max {max(scans)}" for full, scans in cells)
+    _report("4 (atoms scanned)", ok, detail)
+    assert ok, detail
 
 
 def test_criterion_5_atom_count_bound():

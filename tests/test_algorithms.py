@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from greedyreg.algorithms import (
+    ZERO_RESIDUAL_RTOL,
     IndexOutOfRange,
+    _fit_projection,
     fit_delta_togl,
     fit_ogl,
     fit_pgl,
@@ -12,8 +14,10 @@ from greedyreg.algorithms import (
 )
 from greedyreg.core import (
     DesignMatrix,
+    DICTIONARY_EXHAUSTED,
     FIXED_K,
     NO_ACTIVE_ATOM,
+    RESIDUAL_RATIO,
     SparseModel,
     ZERO_RESIDUAL,
 )
@@ -24,8 +28,8 @@ from greedyreg.dictionary import (
     evaluate_design,
     normalize_columns,
 )
-from greedyreg.greedy import Criterion
-from greedyreg.linalg import empirical_norm
+from greedyreg.greedy import Criterion, correlation, select_atom
+from greedyreg.linalg import DegenerateColumn, ProjectionState, empirical_norm, project_append
 
 
 def _unit_design(columns):
@@ -284,6 +288,76 @@ class TestFitDeltaTogl:
         t1 = fit_delta_togl(dm, y, 0.1, "rand", rng=np.random.default_rng(5))
         t2 = fit_delta_togl(dm, y, 0.1, "rand", rng=np.random.default_rng(5))
         assert t1.selected == t2.selected
+
+
+def _fresh_scan_fit(dm, y, criterion, k_cap, ratio_delta, rng):
+    """The projection loop with a fresh select_atom scan on every attempt."""
+    y_norm = empirical_norm(y)
+    state = ProjectionState(y)
+    excluded = np.zeros(dm.n, dtype=bool)
+    selected, norms, corrs = [], [], []
+    attempts = 0
+    while True:
+        if state.residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
+            return selected, norms, corrs, attempts, ZERO_RESIDUAL
+        if k_cap is not None and len(selected) >= k_cap:
+            return selected, norms, corrs, attempts, FIXED_K
+        if ratio_delta is not None and state.residual_norm <= ratio_delta * y_norm:
+            return selected, norms, corrs, attempts, RESIDUAL_RATIO
+        idx = select_atom(dm, state.residual, state.residual_norm, criterion, excluded, rng)
+        if idx is None:
+            active = criterion.thresholded and bool((dm.live & ~excluded).any())
+            reason = NO_ACTIVE_ATOM if active else DICTIONARY_EXHAUSTED
+            return selected, norms, corrs, attempts, reason
+        attempts += 1
+        corr = correlation(state.residual, state.residual_norm, dm.columns[:, idx])
+        excluded[idx] = True
+        try:
+            project_append(state, dm.columns[:, idx])
+        except DegenerateColumn:
+            continue
+        selected.append(idx)
+        norms.append(state.residual_norm)
+        corrs.append(corr)
+
+
+class TestCandidatePoolReuse:
+    """A fit reuses one residual's scan across degenerate skips, picking
+    exactly what a fresh scan per attempt would pick."""
+
+    @pytest.fixture(scope="class")
+    def low_rank(self):
+        # Numerical rank about 25, so most attempts hit a degenerate column.
+        # 300 dead columns in front put every skip past the first 256-atom
+        # scan block, so a resumed "first" scan starts at a later block.
+        train, _ = gen_sinc(80, 10, 0.1, np.random.default_rng(3))
+        spec = build_rbf_uniform(300, -np.pi, np.pi, 1.0, np.random.default_rng(4))
+        dm = normalize_columns(evaluate_design(spec, train.inputs))
+        padded = DesignMatrix(
+            np.column_stack([np.zeros((80, 300)), dm.columns]),
+            np.concatenate([np.zeros(300), dm.column_norms]),
+            normalized=True,
+        )
+        return padded, train.targets
+
+    @pytest.mark.parametrize(
+        "kind, delta",
+        [(k, None) for k in ("max", "max2", "max3", "rand")]
+        + [(k, 1e-12) for k in ("max", "max2", "max3", "rand", "first")],
+    )
+    def test_matches_fresh_scan_per_attempt(self, low_rank, kind, delta):
+        dm, y = low_rank
+        criterion = Criterion(kind, delta)
+        # unthresholded: run to the end of the dictionary; thresholded: delta-TOGL
+        k_cap = dm.n if delta is None else None
+        trace = _fit_projection(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
+        expected = _fresh_scan_fit(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
+        got = (
+            trace.selected, trace.residual_norms, trace.selected_correlations,
+            trace.iterations, trace.termination_reason,
+        )
+        assert got == expected
+        assert trace.degenerate_skips > 0
 
 
 class TestPredict:

@@ -28,6 +28,32 @@ def _random_design(rng, m, n):
 from oracles import coordinate_descent_lasso
 
 
+def _count_builds(monkeypatch, name):
+    """The design of every build of the cached ``DesignMatrix.<name>``, in build order."""
+    builds = []
+    build = getattr(DesignMatrix, name).func
+
+    def counted(dm):
+        builds.append(dm)
+        return build(dm)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(DesignMatrix, name)
+    monkeypatch.setattr(DesignMatrix, name, cached)
+    return builds
+
+
+def _small_sweep(methods, lambda_grid=(1e-3, 1e-1)):
+    """Two (sigma, seed) cells of a small sinc sweep."""
+    return bench.sweep(
+        bench.ExperimentConfig(
+            methods=[bench.parse_method(m) for m in methods], seeds=[0, 1], m_train=60,
+            m_test=30, n=20, sigmas=[0.1], k_grid=[0, 3], delta_grid=[1e-2],
+            lambda_grid=list(lambda_grid),
+        )
+    )
+
+
 class TestSoftThreshold:
     def test_shrinks_positive(self):
         assert _soft_threshold_vec(np.array([3.0]), 1.0).tolist() == [2.0]
@@ -119,6 +145,12 @@ class TestLipschitz:
         dm = _random_design(rng, 10, 3)
         top = np.linalg.eigvalsh(dm.columns.T @ dm.columns / dm.m).max()
         assert lipschitz_estimate(dm) / 1.01 == pytest.approx(top, rel=1e-4)
+
+    def test_power_iteration_runs_once_per_cell(self, monkeypatch):
+        builds = _count_builds(monkeypatch, "lipschitz")
+        _small_sweep(["fista"], lambda_grid=[1e-3, 1e-2, 1e-1])
+        assert len(builds) == 2
+        assert builds[0] is not builds[1]
 
 
 class TestFista:
@@ -229,34 +261,14 @@ def _column_form_gap(columns, y, coef, lam):
 class TestGramCache:
     @pytest.fixture
     def gram_builds(self, monkeypatch):
-        """The design of every Gram build during the test, in build order."""
-        builds = []
-        build = DesignMatrix.gram.func
-
-        def counted(dm):
-            builds.append(dm)
-            return build(dm)
-
-        cached = functools.cached_property(counted)
-        cached.__set_name__(DesignMatrix, "gram")
-        monkeypatch.setattr(DesignMatrix, "gram", cached)
-        return builds
-
-    def _sweep(self, methods):
-        return bench.sweep(
-            bench.ExperimentConfig(
-                methods=[bench.parse_method(m) for m in methods], seeds=[0, 1], m_train=60,
-                m_test=30, n=20, sigmas=[0.1], k_grid=[0, 3], delta_grid=[1e-2],
-                lambda_grid=[1e-3, 1e-1],
-            )
-        )
+        return _count_builds(monkeypatch, "gram")
 
     def test_greedy_sweep_never_builds_it(self, gram_builds):
-        self._sweep(["ogl:max", "togl:max", "dtogl:first", "pgl"])
+        _small_sweep(["ogl:max", "togl:max", "dtogl:first", "pgl"])
         assert gram_builds == []
 
     def test_dense_sweep_builds_it_once_per_cell(self, gram_builds):
-        self._sweep(["ridge", "fista"])
+        _small_sweep(["ridge", "fista"])
         assert len(gram_builds) == 2
         assert gram_builds[0] is not gram_builds[1]
 

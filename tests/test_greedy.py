@@ -12,6 +12,7 @@ from greedyreg.core import (
     ZERO_RESIDUAL,
 )
 from greedyreg.greedy import (
+    CandidatePool,
     Criterion,
     ZeroResidual,
     all_correlations,
@@ -149,6 +150,36 @@ class TestSelectAtom:
         crit = Criterion("first", 0.05)
         results = {select_atom(dm, r, rn, crit) for _ in range(5)}
         assert len(results) == 1
+
+    def test_pool_is_read_until_reset_and_counts_correlations(self):
+        # 600 atoms: only atoms 10 and 590 correlate with the residual
+        cols = np.zeros((2, 600))
+        cols[1] = np.sqrt(2.0)
+        cols[:, [10, 590]] = [[np.sqrt(2.0)], [0.0]]
+        dm = _design(cols)
+        r = np.array([1.0, 0.0])
+        rn = empirical_norm(r)
+        excluded = np.zeros(600, dtype=bool)
+
+        pool = CandidatePool()
+        assert select_atom(dm, r, rn, Criterion("max"), excluded, pool=pool) == 10
+        excluded[10] = True
+        pool.skip(10)
+        assert select_atom(dm, r, rn, Criterion("max"), excluded, pool=pool) == 590
+        assert pool.scanned == 600  # one scan served both picks
+        pool.reset()
+        assert select_atom(dm, r, rn, Criterion("max"), excluded, pool=pool) == 590
+        assert pool.scanned == 1200
+
+        pool = CandidatePool()
+        excluded[:] = False
+        assert select_atom(dm, r, rn, Criterion("first", 0.5), excluded, pool=pool) == 10
+        assert pool.scanned == 256  # stopped after the first block
+        excluded[10] = True
+        pool.skip(10)
+        # resumes at the start of the skipped atom's block and scans on
+        assert select_atom(dm, r, rn, Criterion("first", 0.5), excluded, pool=pool) == 590
+        assert pool.scanned == 256 + 600
 
     def test_dead_columns_never_selected(self):
         cols = np.column_stack([np.zeros(3), np.ones(3)])
