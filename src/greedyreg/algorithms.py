@@ -6,6 +6,9 @@ correlation-scaled step for pure greedy), stop per a termination rule.
 Every fit records a full trace so one run yields the model at every
 prefix length k for parameter sweeps; an orthogonal fit's trace is its
 QR factor, solved for a prefix's coefficients only when one is read.
+Orthogonal fits of one target that select the same atoms share their
+appends and correlations through a FitTree, so a threshold sweep pays
+for each distinct prefix once.
 """
 
 from dataclasses import dataclass
@@ -22,12 +25,20 @@ from .core import (
     SparseModel,
 )
 from .dictionary import RbfSpec, evaluate_atoms
-from .greedy import CandidatePool, Criterion, correlation, select_atom, validate_delta
+from .greedy import (
+    CandidatePool,
+    Criterion,
+    ResidualScan,
+    correlation,
+    select_atom,
+    validate_delta,
+)
 from .linalg import (
     DegenerateColumn,
     ProjectionState,
     empirical_norm,
     project_append,
+    replay_append,
     solve_coefficients,
     truncate_values,
 )
@@ -51,7 +62,8 @@ class FitTrace:
     ``state`` None and store the scalar raw-atom increment per step.
     ``iterations`` counts selection attempts including degenerate
     columns that were skipped; ``atoms_scanned`` counts the
-    atom-residual correlations the selection computed.
+    atom-residual correlations the selection computed (not those it
+    read from a FitTree that an earlier fit filled).
     """
 
     selected: list
@@ -104,14 +116,78 @@ def _check_target(y) -> float:
     return y_norm
 
 
-def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
+class _Node:
+    """One residual of a FitTree: the residual after a selected prefix."""
+
+    __slots__ = ("append", "corr", "scan", "children")
+
+    def __init__(self, append, corr, n: int):
+        self.append = append  # the linalg.Append that made it; None at the root
+        self.corr = corr  # the selected atom's correlation with the parent residual
+        self.scan = ResidualScan(n)
+        self.children = {}  # atom tried here -> its node, or None if its column was degenerate
+
+
+class FitTree:
+    """The work of orthogonal fits of one target on one design, shared by prefix.
+
+    A node is the residual after a selected prefix: its correlations as
+    far as any fit scanned them, and per atom tried there the child
+    node, or None when the column was degenerate.  A child keeps what
+    its append produced, so a later fit that selects the same atoms
+    replays the append in O(m) instead of O(m*k) and reads the
+    correlations instead of computing them; its trace comes out bit for
+    bit as it would alone.  Fits of a threshold sweep share most of
+    their prefixes.
+
+    The tree keeps at most ``budget`` floats (default m*n, the size of
+    the design); past that, fits go on without recording new nodes.  A
+    fit given no tree makes one with no budget, so it keeps nothing.
+    """
+
+    def __init__(self, dm: DesignMatrix, y, budget: int | None = None):
+        self.dm = dm
+        self.y = np.array(y, dtype=float)
+        self.y_norm = _check_target(self.y)
+        self.budget = dm.m * dm.n if budget is None else budget
+        self.root = _Node(None, None, dm.n)
+
+    def check(self, dm: DesignMatrix, y) -> "FitTree":
+        if dm is not self.dm or not np.array_equal(self.y, y):
+            raise ValueError("FitTree belongs to another design or target")
+        return self
+
+
+def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
+    """Append atom ``idx`` to ``state``, which holds ``node``'s residual, and record the child.
+
+    Returns the child, or None (state untouched) when the column is degenerate.
+    """
+    dm = tree.dm
+    column = dm.columns[:, idx]
+    corr = correlation(state.residual, state.residual_norm, column)
+    try:
+        project_append(state, column)
+    except DegenerateColumn:
+        node.children[idx] = None
+        return None
+    child = _Node(state.last_append(), corr, dm.n)
+    size = 2 * dm.m + state.k + dm.n  # basis column and residual, factor column, correlations
+    if size <= tree.budget:
+        tree.budget -= size
+        node.children[idx] = child
+    return child
+
+
+def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None, tree=None):
     """Shared OGL-family loop and the one stop rule; k_cap and ratio_delta select its clauses."""
     if k_cap is not None and not 1 <= k_cap <= dm.n:
         raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
-    y_norm = _check_target(y)
+    tree = FitTree(dm, y, budget=0) if tree is None else tree.check(dm, y)
+    y_norm, node = tree.y_norm, tree.root
     state = ProjectionState(y)
     excluded = np.zeros(dm.n, dtype=bool)
-    pool = CandidatePool()
+    pool = CandidatePool(node.scan)
     selected = []
     residual_norms, selected_corrs = [], []
     attempts = 0
@@ -133,41 +209,46 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None):
                 reason = DICTIONARY_EXHAUSTED
             break
         attempts += 1
-        corr = correlation(state.residual, state.residual_norm, dm.columns[:, idx])
         excluded[idx] = True
-        try:
-            project_append(state, dm.columns[:, idx])
-        except DegenerateColumn:
+        child = node.children.get(idx, node)
+        if child is node:
+            child = _new_child(tree, node, state, idx)
+        elif child is not None:
+            replay_append(state, child.append)
+        if child is None:
             # The residual is unchanged, so the pool still holds its candidates.
             pool.skip(idx)
             continue
-        pool.reset()
+        node = child
+        pool.reset(node.scan)
         selected.append(idx)
         residual_norms.append(state.residual_norm)
-        selected_corrs.append(corr)
+        selected_corrs.append(node.corr)
     return FitTrace(
         selected, None, residual_norms, selected_corrs, reason, attempts, pool.scanned, dm, state
     )
 
 
-def fit_ogl(dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None) -> FitTrace:
+def fit_ogl(
+    dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None, tree=None
+) -> FitTrace:
     """Orthogonal greedy fit with an unthresholded criterion, k_max steps."""
     if criterion.thresholded:
         raise ValueError("fit_ogl takes an unthresholded criterion; see fit_togl")
-    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng)
+    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng, tree=tree)
 
 
 def fit_togl(
-    dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None
+    dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None, tree=None
 ) -> FitTrace:
     """Orthogonal greedy fit with thresholded selection and an iteration cap."""
     if not criterion.thresholded:
         raise ValueError("fit_togl requires a thresholded criterion")
-    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng)
+    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng, tree=tree)
 
 
 def fit_delta_togl(
-    dm: DesignMatrix, y, delta: float, selection: str = "max", rng=None
+    dm: DesignMatrix, y, delta: float, selection: str = "max", rng=None, tree=None
 ) -> FitTrace:
     """Adaptive-threshold orthogonal greedy fit.
 
@@ -178,7 +259,9 @@ def fit_delta_togl(
     """
     validate_delta(delta)
     criterion = Criterion(selection, delta)
-    return _fit_projection(dm, y, criterion, k_cap=None, ratio_delta=delta, rng=rng)
+    return _fit_projection(
+        dm, y, criterion, k_cap=None, ratio_delta=delta, rng=rng, tree=tree
+    )
 
 
 def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:

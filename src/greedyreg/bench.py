@@ -5,7 +5,9 @@ dictionaries, and any per-method randomness all derive from the master
 seed through fixed counters, so reruns are reproducible byte for byte
 (timing can be suppressed for exact comparisons).  One k-capped greedy
 fit yields every prefix model, so k-sweeps cost a single fit; threshold
-and regularization sweeps rerun the fit per grid point.
+and regularization sweeps rerun the fit per grid point, and the
+orthogonal fits of one sweep share a FitTree, so a prefix that several
+thresholds select is appended and scanned once.
 """
 
 import sys
@@ -64,9 +66,11 @@ class _Algorithm(NamedTuple):
     ``criteria`` are the accepted selection criteria, default first (none
     if empty).  ``grid`` names the ExperimentConfig grid swept: a "k" grid
     is read off one capped fit at every prefix, other grids refit per
-    point.  ``fit(dm, y, param, criterion, rng)`` runs one fit; it
-    looks the fitting function up on its module at call time, so that a
-    replaced module attribute (as in tracing) takes effect.
+    point.  ``fit(dm, y, param, criterion, rng, tree)`` runs one fit;
+    the orthogonal fits of a delta sweep share the run's FitTree
+    ``tree`` (None for other runs), and other fits ignore it.
+    It looks the fitting function up on its module at call time, so
+    that a replaced module attribute (as in tracing) takes effect.
     """
 
     criteria: tuple
@@ -79,26 +83,30 @@ _ALGORITHMS = {
     "ogl": _Algorithm(
         _RANKED,
         "k",
-        lambda dm, y, k, crit, rng: algorithms.fit_ogl(dm, y, Criterion(crit), min(k, dm.n), rng),
+        lambda dm, y, k, crit, rng, tree: algorithms.fit_ogl(
+            dm, y, Criterion(crit), min(k, dm.n), rng, tree
+        ),
     ),
-    "pgl": _Algorithm((), "k", lambda dm, y, k, crit, rng: algorithms.fit_pgl(dm, y, k)),
+    "pgl": _Algorithm((), "k", lambda dm, y, k, crit, rng, tree: algorithms.fit_pgl(dm, y, k)),
     "togl": _Algorithm(
         _RANKED + ("first",),
         "delta",
-        lambda dm, y, delta, crit, rng: algorithms.fit_togl(
-            dm, y, Criterion(crit, delta), min(dm.n, _K_SWEEP_CAP), rng
+        lambda dm, y, delta, crit, rng, tree: algorithms.fit_togl(
+            dm, y, Criterion(crit, delta), min(dm.n, _K_SWEEP_CAP), rng, tree
         ),
     ),
     "dtogl": _Algorithm(
         ("first",) + _RANKED,
         "delta",
-        lambda dm, y, delta, crit, rng: algorithms.fit_delta_togl(dm, y, delta, crit, rng),
+        lambda dm, y, delta, crit, rng, tree: algorithms.fit_delta_togl(
+            dm, y, delta, crit, rng, tree
+        ),
     ),
     "ridge": _Algorithm(
-        (), "lambda", lambda dm, y, lam, crit, rng: baselines.fit_ridge(dm, y, lam)
+        (), "lambda", lambda dm, y, lam, crit, rng, tree: baselines.fit_ridge(dm, y, lam)
     ),
     "fista": _Algorithm(
-        (), "lambda", lambda dm, y, lam, crit, rng: baselines.fit_fista(dm, y, lam)
+        (), "lambda", lambda dm, y, lam, crit, rng, tree: baselines.fit_fista(dm, y, lam)
     ),
 }
 
@@ -326,11 +334,12 @@ class _Run(NamedTuple):
 def _run_method(run, grid, config, sigma_idx, method_idx):
     algo = _ALGORITHMS[run.method.algorithm]
     extra = run.cell.materialize_seconds if config.include_materialization else 0.0
+    dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
+    tree = algorithms.FitTree(dm, y) if algo.grid == "delta" else None
 
     def fit(param):
         rng = np.random.default_rng([run.seed, 19, sigma_idx, method_idx])
-        dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
-        result, seconds = time_fit(lambda: algo.fit(dm, y, param, crit, rng))
+        result, seconds = time_fit(lambda: algo.fit(dm, y, param, crit, rng, tree))
         return result, seconds + extra
 
     if algo.grid == "k":

@@ -7,17 +7,24 @@ the candidate pool to atoms whose correlation strictly exceeds delta;
 the "first" criterion scans in dictionary order and stops at the first
 atom above threshold, which is what makes large dictionaries cheap.
 
-A fit may pass a CandidatePool that it owns.  The pool keeps what one
-residual's scan found: the ranked order of the eligible atoms (ranked
-kinds), the eligible atoms in index order ("rand"), or the index where
-the next scan starts ("first").  An atom whose column turns out to be
-degenerate is skipped, and the residual and every correlation stay the
-same; so after a skip the fit takes that atom out of the pool, and the
-next attempt reads the pool instead of scanning again (as in Batch-OMP,
-Rubinstein, Zibulevsky & Elad 2008).  After a successful append the fit
-resets the pool.  Picks from a pool equal those of a fresh scan bit for
-bit: sorting is stable, and a resumed "first" scan starts at the start
-of the skipped atom's block, so every block is computed as before.
+The correlations of one residual live in a ResidualScan, filled in
+blocks as far as a scan needs them: a full scan fills it at once, a
+"first" scan block by block until its first hit.  Nothing is computed
+twice for the same residual, and a block is the same product a fresh
+scan of it would make.
+
+A fit may pass a CandidatePool that it owns.  The pool keeps the
+current residual's scan and what the criterion made of it: the ranked
+order of the eligible atoms (ranked kinds), the eligible atoms in index
+order ("rand"), or the index where the next scan starts ("first").  An
+atom whose column turns out to be degenerate is skipped, and the
+residual and every correlation stay the same; so after a skip the fit
+takes that atom out of the pool, and the next attempt reads the pool
+instead of scanning again (as in Batch-OMP, Rubinstein, Zibulevsky &
+Elad 2008).  After a successful append the fit resets the pool, with
+the scan of the new residual if another fit computed one already.
+Picks from a pool equal those of a fresh scan bit for bit: sorting is
+stable, and a "first" scan reads the same block products.
 """
 
 from dataclasses import dataclass
@@ -29,9 +36,13 @@ from .core import DesignMatrix
 CRITERION_KINDS = ("max", "max2", "max3", "rand", "first")
 _RANK = {"max": 1, "max2": 2, "max3": 3}
 
-# Atoms scanned per block in the first-above-threshold path: large
-# enough to amortize numpy overhead, small enough to keep the early
-# exit cheap.
+# Blocks of a "first" scan: the first is _FIRST_BLOCK atoms wide and
+# each next one as wide as all before it, up to _SCAN_BLOCK, so an early
+# hit is cheap.  The cap keeps each product small enough that OpenBLAS
+# runs it on the calling thread (for m up to about 1800): a threaded
+# product waits for its worker thread, which in a fresh process on a
+# two-core VM took about 8 ms, against 0.1 ms for a 256-atom block.
+_FIRST_BLOCK = 16
 _SCAN_BLOCK = 256
 
 
@@ -78,13 +89,24 @@ def correlation(residual, residual_norm: float, column) -> float:
     return abs(float(residual @ column)) / (residual.shape[0] * residual_norm)
 
 
-def all_correlations(dm: DesignMatrix, residual, residual_norm: float) -> np.ndarray:
-    """Correlation of the residual with every column (dead columns get 0)."""
-    if residual_norm <= 0:
-        raise ZeroResidual("residual norm must be positive")
-    corr = np.abs(dm.columns.T @ residual) / (dm.m * residual_norm)
-    corr[~dm.live] = 0.0
-    return corr
+class ResidualScan:
+    """Correlations of one residual with the atoms, computed as far as scans needed.
+
+    ``values[:upto]`` hold the correlations of atoms 0..upto-1; the rest
+    is not computed yet.
+    """
+
+    def __init__(self, n: int):
+        self.values = np.empty(n)
+        self.upto = 0
+
+    def extend(self, dm: DesignMatrix, residual, residual_norm: float, stop: int) -> int:
+        """Compute the correlations of atoms upto..stop-1 in one product; returns their number."""
+        start = self.upto
+        block = dm.columns[:, start:stop]
+        self.values[start:stop] = np.abs(block.T @ residual) / (dm.m * residual_norm)
+        self.upto = stop
+        return stop - start
 
 
 def _as_mask(excluded, n: int) -> np.ndarray:
@@ -101,18 +123,21 @@ def _as_mask(excluded, n: int) -> np.ndarray:
 class CandidatePool:
     """Candidates of one residual, kept by a fit across degenerate skips.
 
-    ``order`` is None until a ranked or "rand" scan fills it; ``resume``
-    is the first index the next "first" scan may return.  ``scanned``
-    counts the correlations computed over the pool's lifetime, through
-    every reset.
+    ``scan`` holds the residual's correlations (a ResidualScan, made on
+    first use when None); ``order`` is None until a ranked or "rand"
+    selection fills it; ``resume`` is the first index the next "first"
+    scan may return.  ``scanned`` counts the correlations this pool
+    computed over its lifetime, through every reset; those it read from
+    a scan filled elsewhere are not counted.
     """
 
-    def __init__(self):
+    def __init__(self, scan=None):
         self.scanned = 0
-        self.reset()
+        self.reset(scan)
 
-    def reset(self):
-        """Forget the candidates: the residual has changed."""
+    def reset(self, scan=None):
+        """Forget the candidates: the residual has changed, and ``scan`` holds its correlations."""
+        self.scan = scan
         self.order = None
         self.resume = 0
 
@@ -148,14 +173,17 @@ def select_atom(
         raise ZeroResidual("residual norm must be positive")
     if pool is None:
         pool = CandidatePool()
+    if pool.scan is None:
+        pool.scan = ResidualScan(dm.n)
     mask = _as_mask(excluded, dm.n)
 
     if criterion.kind == "first":
         return _first_above(dm, residual, residual_norm, criterion.delta, mask, pool)
 
     if pool.order is None:
-        pool.order = _eligible_order(dm, residual, residual_norm, criterion, mask)
-        pool.scanned += dm.n
+        if pool.scan.upto < dm.n:
+            pool.scanned += pool.scan.extend(dm, residual, residual_norm, dm.n)
+        pool.order = _eligible_order(dm, pool.scan.values, criterion, mask)
     order = pool.order
     if order.size == 0:
         return None
@@ -169,9 +197,8 @@ def select_atom(
     return int(order[min(rank, order.size) - 1])
 
 
-def _eligible_order(dm, residual, residual_norm, criterion, mask):
+def _eligible_order(dm, corr, criterion, mask):
     """Eligible atoms: best first for ranked kinds, by index for "rand"."""
-    corr = all_correlations(dm, residual, residual_norm)
     eligible = dm.live & ~mask
     if criterion.thresholded:
         eligible &= corr > criterion.delta
@@ -183,17 +210,21 @@ def _eligible_order(dm, residual, residual_norm, criterion, mask):
 
 
 def _first_above(dm, residual, residual_norm, delta, mask, pool):
-    residual = np.asarray(residual, dtype=float)
-    scale = dm.m * residual_norm
-    resume = pool.resume
-    # Start at the block boundary, so each block's correlations are computed as in a full scan.
-    for start in range(resume - resume % _SCAN_BLOCK, dm.n, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, dm.n)
-        corr = np.abs(dm.columns[:, start:stop].T @ residual) / scale
-        pool.scanned += stop - start
-        ok = (corr > delta) & dm.live[start:stop] & ~mask[start:stop]
-        ok[: max(resume - start, 0)] = False
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return int(start + hits[0])
+    scan = pool.scan
+    start = pool.resume  # never past scan.upto: a skipped atom was read from the scan
+    while start < dm.n:
+        if start == scan.upto:
+            stop = min(start + min(max(start, _FIRST_BLOCK), _SCAN_BLOCK), dm.n)
+            pool.scanned += scan.extend(dm, residual, residual_norm, stop)
+        stop = scan.upto
+        above = scan.values[start:stop] > delta
+        above &= dm.live[start:stop]
+        hit = int(above.argmax())
+        while above[hit]:
+            if not mask[start + hit]:
+                return start + hit
+            # Excluded: selected or degenerate, so about orthogonal to the residual; rare here.
+            above[hit] = False
+            hit = int(above.argmax())
+        start = stop
     return None

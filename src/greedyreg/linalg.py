@@ -7,6 +7,8 @@ one reorthogonalization pass per appended column; each append costs
 O(m*k) and keeps the residual orthogonal to the selected span to ~1e-8.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -58,6 +60,15 @@ def truncate_values(values, bound: float) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=float), -bound, bound)
 
 
+class Append(NamedTuple):
+    """What one append produced: basis column, triangular-factor column, residual and its norm."""
+
+    q_col: np.ndarray
+    r_col: np.ndarray
+    residual: np.ndarray
+    residual_norm: float
+
+
 class ProjectionState:
     """Incremental orthogonal projection of a fixed target vector y.
 
@@ -81,6 +92,17 @@ class ProjectionState:
         self._r = np.zeros((cap, cap))
         self.residual = y
         self.residual_norm = empirical_norm(y)
+
+    def last_append(self) -> Append:
+        """The results of the latest append, as replay_append takes them.
+
+        The basis and factor columns are copies; the residual is shared,
+        which is safe because appends rebind it and never write into it.
+        """
+        k = self.k - 1
+        return Append(
+            self._q[:, k].copy(), self._r[: k + 1, k].copy(), self.residual, self.residual_norm
+        )
 
     def _grow(self):
         cap = self._q.shape[1]
@@ -117,15 +139,28 @@ def project_append(state: ProjectionState, column) -> ProjectionState:
     w_norm = empirical_norm(w)
     if w_norm < DEGENERATE_TOL:
         raise DegenerateColumn(f"orthogonal component norm {w_norm:.3e}")
-    state._grow()
     new_q = w / w_norm
-    state._q[:, k] = new_q
-    state._r[:k, k] = head
-    state._r[k, k] = w_norm
-    state.k = k + 1
     coef = empirical_inner(new_q, state.residual)
-    state.residual = state.residual - coef * new_q
-    state.residual_norm = empirical_norm(state.residual)
+    residual = state.residual - coef * new_q
+    return replay_append(
+        state, Append(new_q, np.append(head, w_norm), residual, empirical_norm(residual))
+    )
+
+
+def replay_append(state: ProjectionState, append: Append) -> ProjectionState:
+    """Write the results of one append into the state; the last step of project_append.
+
+    Given what ``state.last_append()`` read after appending a column
+    onto the same basis, it leaves the state bit for bit as
+    project_append did, in O(m) rather than O(m*k).
+    """
+    state._grow()
+    k = state.k
+    state._q[:, k] = append.q_col
+    state._r[: k + 1, k] = append.r_col
+    state.k = k + 1
+    state.residual = append.residual
+    state.residual_norm = append.residual_norm
     return state
 
 

@@ -8,6 +8,13 @@ implementations they audit.
 import numpy as np
 
 
+def correlations(columns, residual):
+    """|<residual, g_j>_m| / ||residual||_m for every column g_j."""
+    residual = np.asarray(residual, dtype=float)
+    m = columns.shape[0]
+    return np.abs(columns.T @ residual) / (m * np.sqrt(np.mean(residual**2)))
+
+
 def naive_omp(columns, y, k_max):
     """Orthogonal pursuit that re-solves the full least-squares each step.
 

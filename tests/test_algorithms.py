@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from greedyreg import algorithms
 from greedyreg.algorithms import (
     ZERO_RESIDUAL_RTOL,
+    FitTree,
     IndexOutOfRange,
     _fit_projection,
     fit_delta_togl,
@@ -42,7 +44,7 @@ def _random_unit_design(rng, m, n):
     return _unit_design(rng.standard_normal((m, n)))
 
 
-from oracles import naive_omp
+from oracles import correlations, naive_omp
 
 
 class TestFitOgl:
@@ -222,13 +224,10 @@ class TestFitTogl:
         assert all(c > delta for c in trace.selected_correlations)
         if trace.termination_reason == NO_ACTIVE_ATOM:
             # replaying the fit confirms nothing above delta remains
-            from greedyreg.greedy import all_correlations
-            from greedyreg.linalg import ProjectionState, project_append
-
             state = ProjectionState(y)
             for idx in trace.selected:
                 project_append(state, dm.columns[:, idx])
-            corr = all_correlations(dm, state.residual, state.residual_norm)
+            corr = correlations(dm.columns, state.residual)
             corr[list(trace.selected)] = 0.0
             assert corr.max() <= delta + 1e-12
 
@@ -321,24 +320,35 @@ def _fresh_scan_fit(dm, y, criterion, k_cap, ratio_delta, rng):
         corrs.append(corr)
 
 
+def _low_rank_design():
+    """A design of numerical rank about 25, so most attempts hit a degenerate
+    column.  300 dead columns in front put every skip past the first scan
+    blocks, so a resumed "first" scan reads a block it computed."""
+    train, _ = gen_sinc(80, 10, 0.1, np.random.default_rng(3))
+    spec = build_rbf_uniform(300, -np.pi, np.pi, 1.0, np.random.default_rng(4))
+    dm = normalize_columns(evaluate_design(spec, train.inputs))
+    padded = DesignMatrix(
+        np.column_stack([np.zeros((80, 300)), dm.columns]),
+        np.concatenate([np.zeros(300), dm.column_norms]),
+        normalized=True,
+    )
+    return padded, train.targets
+
+
+def _trace_facts(trace):
+    return (
+        trace.selected, trace.residual_norms, trace.selected_correlations,
+        trace.iterations, trace.termination_reason,
+    )
+
+
 class TestCandidatePoolReuse:
     """A fit reuses one residual's scan across degenerate skips, picking
     exactly what a fresh scan per attempt would pick."""
 
     @pytest.fixture(scope="class")
     def low_rank(self):
-        # Numerical rank about 25, so most attempts hit a degenerate column.
-        # 300 dead columns in front put every skip past the first 256-atom
-        # scan block, so a resumed "first" scan starts at a later block.
-        train, _ = gen_sinc(80, 10, 0.1, np.random.default_rng(3))
-        spec = build_rbf_uniform(300, -np.pi, np.pi, 1.0, np.random.default_rng(4))
-        dm = normalize_columns(evaluate_design(spec, train.inputs))
-        padded = DesignMatrix(
-            np.column_stack([np.zeros((80, 300)), dm.columns]),
-            np.concatenate([np.zeros(300), dm.column_norms]),
-            normalized=True,
-        )
-        return padded, train.targets
+        return _low_rank_design()
 
     @pytest.mark.parametrize(
         "kind, delta",
@@ -352,12 +362,88 @@ class TestCandidatePoolReuse:
         k_cap = dm.n if delta is None else None
         trace = _fit_projection(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
         expected = _fresh_scan_fit(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
-        got = (
-            trace.selected, trace.residual_norms, trace.selected_correlations,
-            trace.iterations, trace.termination_reason,
-        )
-        assert got == expected
+        assert _trace_facts(trace) == expected
         assert trace.degenerate_skips > 0
+
+
+class TestFitTree:
+    """Fits that share a FitTree come out bit for bit as they would alone,
+    and what one fit appended or scanned, the next one reads."""
+
+    DELTAS = (1e-12, 1e-6, 1e-3, 0.05, 0.3)
+
+    @pytest.fixture(scope="class")
+    def low_rank(self):
+        return _low_rank_design()
+
+    @pytest.mark.parametrize("kind", ["max", "max2", "max3", "rand", "first"])
+    def test_shared_delta_sweep_matches_separate_fits(self, low_rank, kind):
+        dm, y = low_rank
+        tree = FitTree(dm, y)
+        skips = 0
+        for delta in self.DELTAS:
+            shared = fit_delta_togl(dm, y, delta, kind, np.random.default_rng(7), tree=tree)
+            alone = fit_delta_togl(dm, y, delta, kind, np.random.default_rng(7))
+            assert _trace_facts(shared) == _trace_facts(alone)
+            assert np.array_equal(shared.state.residual, alone.state.residual)
+            assert np.array_equal(
+                shared.final_model().coefficients, alone.final_model().coefficients
+            )
+            skips += shared.degenerate_skips
+        assert skips > 0
+
+    def test_capped_fits_share_a_tree(self, low_rank):
+        dm, y = low_rank
+        tree = FitTree(dm, y)
+        fits = [
+            lambda t: fit_ogl(dm, y, Criterion("max"), dm.n, tree=t),
+            lambda t: fit_ogl(dm, y, Criterion("max"), 5, tree=t),
+            lambda t: fit_togl(dm, y, Criterion("max", 1e-3), 8, tree=t),
+        ]
+        for fit in fits:
+            shared, alone = fit(tree), fit(None)
+            assert _trace_facts(shared) == _trace_facts(alone)
+            assert np.array_equal(shared.state.residual, alone.state.residual)
+
+    def test_repeat_fit_appends_and_scans_nothing(self, low_rank, monkeypatch):
+        dm, y = low_rank
+        tree = FitTree(dm, y)
+        first = fit_delta_togl(dm, y, 1e-6, "first", tree=tree)
+        appends = []
+        real_append = algorithms.project_append
+        monkeypatch.setattr(
+            algorithms, "project_append", lambda *args: appends.append(1) or real_append(*args)
+        )
+        again = fit_delta_togl(dm, y, 1e-6, "first", tree=tree)
+        assert _trace_facts(again) == _trace_facts(first)
+        assert first.atoms_scanned > 0 and first.k_fitted > 0
+        assert again.atoms_scanned == 0
+        assert appends == []
+
+    def test_budget_bounds_what_the_tree_keeps(self, low_rank):
+        dm, y = low_rank
+        node_size = 2 * dm.m + 3 + dm.n  # basis column and residual, factor column, correlations
+        tree = FitTree(dm, y, budget=2 * node_size)
+        for delta in self.DELTAS:
+            shared = fit_delta_togl(dm, y, delta, "first", tree=tree)
+            alone = fit_delta_togl(dm, y, delta, "first")
+            assert _trace_facts(shared) == _trace_facts(alone)
+        kept, stack = 0, [tree.root]
+        while stack:
+            children = [c for c in stack.pop().children.values() if c is not None]
+            kept += len(children)
+            stack.extend(children)
+        assert 0 < kept <= 2
+        assert tree.budget >= 0
+
+    def test_tree_belongs_to_one_design_and_target(self, low_rank):
+        dm, y = low_rank
+        tree = FitTree(dm, y)
+        with pytest.raises(ValueError, match="another design or target"):
+            fit_delta_togl(dm, y + 1.0, 0.1, tree=tree)
+        other = DesignMatrix(dm.columns.copy(), dm.column_norms, normalized=True)
+        with pytest.raises(ValueError, match="another design or target"):
+            fit_delta_togl(other, y, 0.1, tree=tree)
 
 
 class TestPredict:

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -147,6 +148,28 @@ class TestSweep:
         monkeypatch.setattr(algorithms, "fit_ogl", fit_with_bug)
         with pytest.raises(TypeError, match="not a numerical failure"):
             sweep(_tiny_config(methods=[parse_method("ogl:max")]))
+
+    def test_delta_sweep_shares_appends_without_changing_rows(self, monkeypatch):
+        cfg = _tiny_config(
+            methods=[parse_method("dtogl:first"), parse_method("togl:max")],
+            delta_grid=[1e-4, 1e-3, 1e-2, 0.2],
+        )
+        appends = []
+        real_append = algorithms.project_append
+        monkeypatch.setattr(
+            algorithms, "project_append", lambda *args: appends.append(1) or real_append(*args)
+        )
+        shared = sweep(cfg)
+        shared_appends = len(appends)
+        for name in ("fit_delta_togl", "fit_togl"):
+            # the bench passes the run's tree last; drop it, so each fit makes its own
+            alone_fit = lambda *args, _real=getattr(algorithms, name): _real(*args[:-1])
+            monkeypatch.setattr(algorithms, name, alone_fit)
+        appends.clear()
+        alone = sweep(cfg)
+        untimed = lambda rows: [dataclasses.replace(row, seconds=0.0) for row in rows]
+        assert untimed(shared) == untimed(alone)
+        assert shared_appends < len(appends)
 
     def test_prefix_rows_share_fit_and_clamp(self):
         cfg = _tiny_config(methods=[parse_method("ogl:max")], k_grid=[0, 3, 9999])

@@ -9,6 +9,7 @@ from greedyreg.linalg import (
     empirical_inner,
     empirical_norm,
     project_append,
+    replay_append,
     rmse,
     solve_coefficients,
     truncate_values,
@@ -122,6 +123,22 @@ class TestProjectAppend:
             project_append(state, 2.0 * col)
         assert state.k == k_before
         assert state.residual_norm == res_before
+
+
+class TestReplayAppend:
+    def test_replay_reproduces_appends_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((30, 20))
+        y = rng.standard_normal(30)
+        state, replayed = ProjectionState(y), ProjectionState(y)
+        for j in range(20):  # past two buffer growths
+            project_append(state, g[:, j])
+            replay_append(replayed, state.last_append())
+            assert replayed.k == state.k
+            assert replayed.residual_norm == state.residual_norm
+            assert np.array_equal(replayed.residual, state.residual)
+            assert np.array_equal(solve_coefficients(replayed), solve_coefficients(state))
+        np.testing.assert_array_equal(replayed.y, y)
 
 
 class TestSolveCoefficients:
