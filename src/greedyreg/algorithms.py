@@ -119,13 +119,19 @@ def _check_target(y) -> float:
 class _Node:
     """One residual of a FitTree: the residual after a selected prefix."""
 
-    __slots__ = ("append", "corr", "scan", "children")
+    __slots__ = ("append", "corr", "scan", "children", "kept")
 
-    def __init__(self, append, corr, n: int):
+    def __init__(self, append, corr, n: int, kept: bool = False):
         self.append = append  # the linalg.Append that made it; None at the root
         self.corr = corr  # the selected atom's correlation with the parent residual
         self.scan = ResidualScan(n)
         self.children = {}  # atom tried here -> its node, or None if its column was degenerate
+        self.kept = kept  # whether the tree holds it, so that entries under it can be kept
+
+
+# What a FitTree charges, in floats, for one entry beyond its arrays: the
+# dict slot, its key and, for a node, the Python objects that hold it.
+_ENTRY_FLOATS = 64
 
 
 class FitTree:
@@ -140,22 +146,39 @@ class FitTree:
     bit as it would alone.  Fits of a threshold sweep share most of
     their prefixes.
 
-    The tree keeps at most ``budget`` floats (default m*n, the size of
-    the design); past that, fits go on without recording new nodes.  A
-    fit given no tree makes one with no budget, so it keeps nothing.
+    The tree keeps at most m*n floats, the size of the design, counting
+    each entry's arrays and _ENTRY_FLOATS for its Python objects; past
+    that, fits go on without recording new entries.  A fit given no
+    tree records nothing.
     """
 
-    def __init__(self, dm: DesignMatrix, y, budget: int | None = None):
+    def __init__(self, dm: DesignMatrix, y):
         self.dm = dm
         self.y = np.array(y, dtype=float)
         self.y_norm = _check_target(self.y)
-        self.budget = dm.m * dm.n if budget is None else budget
-        self.root = _Node(None, None, dm.n)
+        self.budget = dm.m * dm.n  # floats left to record
+        self.root = _Node(None, None, dm.n, kept=True)
+
+    @classmethod
+    def _unrecorded(cls, dm: DesignMatrix, y) -> "FitTree":
+        """The tree of a fit given none: it lends the loop its root and records nothing."""
+        tree = cls(dm, y)
+        tree.root.kept = False
+        return tree
 
     def check(self, dm: DesignMatrix, y) -> "FitTree":
         if dm is not self.dm or not np.array_equal(self.y, y):
             raise ValueError("FitTree belongs to another design or target")
         return self
+
+    def record(self, node: _Node, idx: int, child, size: int):
+        """Keep ``child`` (a node, or None for a degenerate column) under ``node`` if it fits."""
+        size += _ENTRY_FLOATS
+        if node.kept and size <= self.budget:
+            self.budget -= size
+            node.children[idx] = child
+            if child is not None:
+                child.kept = True
 
 
 def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
@@ -169,13 +192,11 @@ def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
     try:
         project_append(state, column)
     except DegenerateColumn:
-        node.children[idx] = None
+        tree.record(node, idx, None, 0)
         return None
     child = _Node(state.last_append(), corr, dm.n)
-    size = 2 * dm.m + state.k + dm.n  # basis column and residual, factor column, correlations
-    if size <= tree.budget:
-        tree.budget -= size
-        node.children[idx] = child
+    # basis column and residual, factor column, correlations
+    tree.record(node, idx, child, 2 * dm.m + state.k + dm.n)
     return child
 
 
@@ -183,7 +204,7 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None, tree=No
     """Shared OGL-family loop and the one stop rule; k_cap and ratio_delta select its clauses."""
     if k_cap is not None and not 1 <= k_cap <= dm.n:
         raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
-    tree = FitTree(dm, y, budget=0) if tree is None else tree.check(dm, y)
+    tree = FitTree._unrecorded(dm, y) if tree is None else tree.check(dm, y)
     y_norm, node = tree.y_norm, tree.root
     state = ProjectionState(y)
     excluded = np.zeros(dm.n, dtype=bool)
@@ -229,13 +250,11 @@ def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None, tree=No
     )
 
 
-def fit_ogl(
-    dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None, tree=None
-) -> FitTrace:
+def fit_ogl(dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None) -> FitTrace:
     """Orthogonal greedy fit with an unthresholded criterion, k_max steps."""
     if criterion.thresholded:
         raise ValueError("fit_ogl takes an unthresholded criterion; see fit_togl")
-    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng, tree=tree)
+    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng)
 
 
 def fit_togl(

@@ -6,14 +6,16 @@ seed through fixed counters, so reruns are reproducible byte for byte
 (timing can be suppressed for exact comparisons).  One k-capped greedy
 fit yields every prefix model, so k-sweeps cost a single fit; threshold
 and regularization sweeps rerun the fit per grid point, and the
-orthogonal fits of one sweep share a FitTree, so a prefix that several
-thresholds select is appended and scanned once.
+orthogonal fits of one threshold sweep share a FitTree, so a prefix that
+several thresholds select is appended and scanned once.  The rows of
+such a sweep report its mean fit time, which does not depend on the
+order of the grid.
 """
 
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -67,10 +69,10 @@ class _Algorithm(NamedTuple):
     if empty).  ``grid`` names the ExperimentConfig grid swept: a "k" grid
     is read off one capped fit at every prefix, other grids refit per
     point.  ``fit(dm, y, param, criterion, rng, tree)`` runs one fit;
-    the orthogonal fits of a delta sweep share the run's FitTree
-    ``tree`` (None for other runs), and other fits ignore it.
-    It looks the fitting function up on its module at call time, so
-    that a replaced module attribute (as in tracing) takes effect.
+    the fits of a delta sweep share the run's FitTree ``tree`` (None for
+    other grids, whose fits ignore it).  It looks the fitting function
+    up on its module at call time, so that a replaced module attribute
+    (as in tracing) takes effect.
     """
 
     criteria: tuple
@@ -84,7 +86,7 @@ _ALGORITHMS = {
         _RANKED,
         "k",
         lambda dm, y, k, crit, rng, tree: algorithms.fit_ogl(
-            dm, y, Criterion(crit), min(k, dm.n), rng, tree
+            dm, y, Criterion(crit), min(k, dm.n), rng
         ),
     ),
     "pgl": _Algorithm((), "k", lambda dm, y, k, crit, rng, tree: algorithms.fit_pgl(dm, y, k)),
@@ -350,14 +352,21 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
         return run.prefix_rows(grid, trace, seconds)
 
     make_row = run.model_row if algo.grid == "delta" else run.dense_row
-    rows = []
+    rows, fitted = [], []
     for param in grid:
         param = float(param)
         try:
             # unnamed, so a trace and its QR factor are freed before the next fit
             rows.append(make_row(param, *fit(param)))
+            fitted.append(len(rows) - 1)
         except (ArithmeticError, ValueError) as exc:
             rows.append(run.failed_row(param, exc))
+    if tree is not None and fitted:
+        # A fit reads what the fits before it put in the tree, so its own clock
+        # depends on its place in the grid; each row carries the sweep's mean.
+        share = sum(rows[i].seconds for i in fitted) / len(fitted)
+        for i in fitted:
+            rows[i] = replace(rows[i], seconds=share)
     return rows
 
 

@@ -396,8 +396,8 @@ class TestFitTree:
         dm, y = low_rank
         tree = FitTree(dm, y)
         fits = [
-            lambda t: fit_ogl(dm, y, Criterion("max"), dm.n, tree=t),
-            lambda t: fit_ogl(dm, y, Criterion("max"), 5, tree=t),
+            lambda t: _fit_projection(dm, y, Criterion("max"), dm.n, tree=t),
+            lambda t: _fit_projection(dm, y, Criterion("max"), 5, tree=t),
             lambda t: fit_togl(dm, y, Criterion("max", 1e-3), 8, tree=t),
         ]
         for fit in fits:
@@ -422,19 +422,29 @@ class TestFitTree:
 
     def test_budget_bounds_what_the_tree_keeps(self, low_rank):
         dm, y = low_rank
-        node_size = 2 * dm.m + 3 + dm.n  # basis column and residual, factor column, correlations
-        tree = FitTree(dm, y, budget=2 * node_size)
-        for delta in self.DELTAS:
-            shared = fit_delta_togl(dm, y, delta, "first", tree=tree)
-            alone = fit_delta_togl(dm, y, delta, "first")
-            assert _trace_facts(shared) == _trace_facts(alone)
-        kept, stack = 0, [tree.root]
+        tree = FitTree(dm, y)
+        # one tree serves every kind: it records residuals, not picks
+        for kind in ("max", "first", "max2", "rand"):
+            for delta in self.DELTAS:
+                shared = fit_delta_togl(dm, y, delta, kind, np.random.default_rng(7), tree=tree)
+                alone = fit_delta_togl(dm, y, delta, kind, np.random.default_rng(7))
+                assert _trace_facts(shared) == _trace_facts(alone)
+        # every kept entry is charged, a degenerate column as well as a node
+        charged, degenerate, stack = 0, 0, [(tree.root, 0)]
         while stack:
-            children = [c for c in stack.pop().children.values() if c is not None]
-            kept += len(children)
-            stack.extend(children)
-        assert 0 < kept <= 2
-        assert tree.budget >= 0
+            node, depth = stack.pop()
+            for child in node.children.values():
+                charged += algorithms._ENTRY_FLOATS
+                if child is None:
+                    degenerate += 1
+                else:
+                    # basis column and residual, factor column, correlations
+                    charged += 2 * dm.m + depth + 1 + dm.n
+                    stack.append((child, depth + 1))
+        assert degenerate > 0
+        assert charged == dm.m * dm.n - tree.budget
+        # the budget ran out: no further node fits in what is left
+        assert tree.budget < 2 * dm.m + dm.n
 
     def test_tree_belongs_to_one_design_and_target(self, low_rank):
         dm, y = low_rank

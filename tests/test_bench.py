@@ -171,6 +171,15 @@ class TestSweep:
         assert untimed(shared) == untimed(alone)
         assert shared_appends < len(appends)
 
+    def test_delta_sweep_rows_carry_the_mean_fit_time(self, monkeypatch):
+        # fits of a delta sweep share a tree, so each row reports the sweep's mean
+        clocks = iter([1.0, 2.0, 3.0, 6.0])
+        monkeypatch.setattr(bench, "time_fit", lambda thunk: (thunk(), next(clocks)))
+        cfg = _tiny_config(
+            methods=[parse_method("dtogl:first")], delta_grid=[1e-4, 1e-3, 1e-2, 0.2]
+        )
+        assert [row.seconds for row in sweep(cfg)] == [3.0] * 4
+
     def test_prefix_rows_share_fit_and_clamp(self):
         cfg = _tiny_config(methods=[parse_method("ogl:max")], k_grid=[0, 3, 9999])
         rows = sweep(cfg)
