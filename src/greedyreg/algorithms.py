@@ -122,7 +122,7 @@ class _Node:
     __slots__ = ("append", "corr", "scan", "children", "kept")
 
     def __init__(self, append, corr, n: int, kept: bool = False):
-        self.append = append  # the linalg.Append that made it; None at the root
+        self.append = append  # the linalg.Append that made it; None at the root and if not kept
         self.corr = corr  # the selected atom's correlation with the parent residual
         self.scan = ResidualScan(n)
         self.children = {}  # atom tried here -> its node, or None if its column was degenerate
@@ -171,14 +171,16 @@ class FitTree:
             raise ValueError("FitTree belongs to another design or target")
         return self
 
-    def record(self, node: _Node, idx: int, child, size: int):
+    def record(self, node: _Node, idx: int, child, size: int) -> bool:
         """Keep ``child`` (a node, or None for a degenerate column) under ``node`` if it fits."""
         size += _ENTRY_FLOATS
-        if node.kept and size <= self.budget:
-            self.budget -= size
-            node.children[idx] = child
-            if child is not None:
-                child.kept = True
+        if not node.kept or size > self.budget:
+            return False
+        self.budget -= size
+        node.children[idx] = child
+        if child is not None:
+            child.kept = True
+        return True
 
 
 def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
@@ -194,9 +196,10 @@ def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
     except DegenerateColumn:
         tree.record(node, idx, None, 0)
         return None
-    child = _Node(state.last_append(), corr, dm.n)
+    child = _Node(None, corr, dm.n)
     # basis column and residual, factor column, correlations
-    tree.record(node, idx, child, 2 * dm.m + state.k + dm.n)
+    if tree.record(node, idx, child, 2 * dm.m + state.k + dm.n):
+        child.append = state.last_append()  # only a kept node is replayed
     return child
 
 
