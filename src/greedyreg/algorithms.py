@@ -121,8 +121,8 @@ class _Node:
 
     __slots__ = ("append", "corr", "scan", "children", "kept")
 
-    def __init__(self, append, corr, n: int, kept: bool = False):
-        self.append = append  # the linalg.Append that made it; None at the root and if not kept
+    def __init__(self, corr, n: int, kept: bool = False):
+        self.append = None  # the linalg.Append that made it, set once the tree keeps it
         self.corr = corr  # the selected atom's correlation with the parent residual
         self.scan = ResidualScan(n)
         self.children = {}  # atom tried here -> its node, or None if its column was degenerate
@@ -157,7 +157,7 @@ class FitTree:
         self.y = np.array(y, dtype=float)
         self.y_norm = _check_target(self.y)
         self.budget = dm.m * dm.n  # floats left to record
-        self.root = _Node(None, None, dm.n, kept=True)
+        self.root = _Node(None, dm.n, kept=True)
 
     @classmethod
     def _unrecorded(cls, dm: DesignMatrix, y) -> "FitTree":
@@ -196,7 +196,7 @@ def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
     except DegenerateColumn:
         tree.record(node, idx, None, 0)
         return None
-    child = _Node(None, corr, dm.n)
+    child = _Node(corr, dm.n)
     # basis column and residual, factor column, correlations
     if tree.record(node, idx, child, 2 * dm.m + state.k + dm.n):
         child.append = state.last_append()  # only a kept node is replayed
