@@ -8,9 +8,11 @@ prefix length k for parameter sweeps; an orthogonal fit's trace is its
 QR factor, solved for a prefix's coefficients only when one is read.
 Orthogonal fits of one target that select the same atoms share their
 appends and correlations through a FitTree, so a threshold sweep pays
-for each distinct prefix once.
+for each distinct prefix once.  The max fits of one target need no
+tree: each is a cut of one unthresholded path (MaxPath).
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,9 @@ class FitTrace:
     ``iterations`` counts selection attempts including degenerate
     columns that were skipped; ``atoms_scanned`` counts the
     atom-residual correlations the selection computed (not those it
-    read from a FitTree that an earlier fit filled).
+    read from a FitTree that an earlier fit filled; a cut of a MaxPath
+    counts those its stretch of the path computed).  ``seconds`` is the
+    fit's own clock when it keeps one (a MaxPath cut), else None.
     """
 
     selected: list
@@ -75,6 +79,7 @@ class FitTrace:
     atoms_scanned: int
     dm: DesignMatrix | None = None
     state: ProjectionState | None = None
+    seconds: float | None = None
 
     @property
     def k_fitted(self) -> int:
@@ -190,74 +195,217 @@ def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
     """
     dm = tree.dm
     column = dm.columns[:, idx]
-    corr = correlation(state.residual, state.residual_norm, column)
+    # The append rebinds the residual and never writes into it.
+    residual, residual_norm = state.residual, state.residual_norm
     try:
         project_append(state, column)
     except DegenerateColumn:
         tree.record(node, idx, None, 0)
         return None
-    child = _Node(corr, dm.n)
+    child = _Node(correlation(residual, residual_norm, column), dm.n)
     # basis column and residual, factor column, correlations
     if tree.record(node, idx, child, 2 * dm.m + state.k + dm.n):
         child.append = state.last_append()  # only a kept node is replayed
     return child
 
 
-def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None, tree=None):
-    """Shared OGL-family loop and the one stop rule; k_cap and ratio_delta select its clauses."""
-    if k_cap is not None and not 1 <= k_cap <= dm.n:
-        raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
-    tree = FitTree._unrecorded(dm, y) if tree is None else tree.check(dm, y)
-    y_norm, node = tree.y_norm, tree.root
-    state = ProjectionState(y)
-    excluded = np.zeros(dm.n, dtype=bool)
-    pool = CandidatePool(node.scan)
-    selected = []
-    residual_norms, selected_corrs = [], []
-    attempts = 0
-    while True:
-        if state.residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
-            reason = ZERO_RESIDUAL
-            break
-        if k_cap is not None and len(selected) >= k_cap:
-            reason = FIXED_K
-            break
-        if ratio_delta is not None and state.residual_norm <= ratio_delta * y_norm:
-            reason = RESIDUAL_RATIO
-            break
-        idx = select_atom(dm, state.residual, state.residual_norm, criterion, excluded, rng, pool)
-        if idx is None:
-            if criterion.thresholded and bool((dm.live & ~excluded).any()):
-                reason = NO_ACTIVE_ATOM
-            else:
-                reason = DICTIONARY_EXHAUSTED
-            break
-        attempts += 1
-        excluded[idx] = True
+def _stop_reason(residual_norm, y_norm, k, k_cap, ratio_delta):
+    """The OGL family's stop rule, checked before each selection: the reason, or None to go on."""
+    if residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
+        return ZERO_RESIDUAL
+    if k_cap is not None and k >= k_cap:
+        return FIXED_K
+    if ratio_delta is not None and residual_norm <= ratio_delta * y_norm:
+        return RESIDUAL_RATIO
+    return None
+
+
+def _no_pick_reason(criterion: Criterion, atoms_left: bool):
+    """Why a fit stops when its selection offers no atom; ``atoms_left``: live atoms remain untried."""
+    return NO_ACTIVE_ATOM if criterion.thresholded and atoms_left else DICTIONARY_EXHAUSTED
+
+
+class _Walk:
+    """One OGL-family loop between its selections: the atoms kept and tried, and the residual."""
+
+    def __init__(self, tree: FitTree, criterion: Criterion, rng):
+        self.tree, self.criterion, self.rng = tree, criterion, rng
+        self.node = tree.root
+        self.state = ProjectionState(tree.y)
+        self.excluded = np.zeros(tree.dm.n, dtype=bool)
+        self.pool = CandidatePool(self.node.scan)
+        self.selected, self.residual_norms, self.selected_corrs = [], [], []
+        self.attempts = 0
+
+    def pick(self):
+        """The atom to try next on the current residual, or None when the criterion offers none."""
+        state = self.state
+        return select_atom(
+            self.tree.dm, state.residual, state.residual_norm, self.criterion, self.excluded,
+            self.rng, self.pool,
+        )
+
+    def take(self, idx: int) -> bool:
+        """Try atom ``idx``: True if it was appended, False if its degenerate column was skipped."""
+        self.attempts += 1
+        self.excluded[idx] = True
+        node = self.node
         child = node.children.get(idx, node)
         if child is node:
-            child = _new_child(tree, node, state, idx)
+            child = _new_child(self.tree, node, self.state, idx)
         elif child is not None:
-            replay_append(state, child.append)
+            replay_append(self.state, child.append)
         if child is None:
             # The residual is unchanged, so the pool still holds its candidates.
-            pool.skip(idx)
-            continue
-        node = child
-        pool.reset(node.scan)
-        selected.append(idx)
-        residual_norms.append(state.residual_norm)
-        selected_corrs.append(node.corr)
+            self.pool.skip(idx)
+            return False
+        self.node = child
+        self.pool.reset(child.scan)
+        self.selected.append(idx)
+        self.residual_norms.append(self.state.residual_norm)
+        self.selected_corrs.append(child.corr)
+        return True
+
+
+class MaxPath:
+    """The unthresholded max OGL path of one target on one design; every max fit is a cut of it.
+
+    A max fit, capped or not, thresholded at any delta or not, with or
+    without the residual-ratio stop, follows this path until its stop
+    rule fires: while the path's pick correlates above delta it is also
+    the thresholded pick (the stable order of the atoms above delta is
+    a prefix of the full order), and both skip the same degenerate
+    columns.  So the path records, per attempt, the picked atom's
+    correlation as its selection scan computed it, and after each pick
+    and each attempt its own clock and the correlations it scanned; a
+    cut reads the fit's trace off these records bit for bit, and shares
+    the path's QR factor for prefix solves.  The path runs only as far
+    as its cuts have needed: a pick at or below a cut's delta waits
+    untried until a smaller delta asks for it.
+    """
+
+    def __init__(self, dm: DesignMatrix, y):
+        start = time.perf_counter()
+        self._walk = _Walk(FitTree._unrecorded(dm, y), Criterion("max"), None)
+        self._picked = None  # the atom of the latest pick
+        self._tops = []  # per pick: the picked atom's correlation, None when none was left
+        self._kept_at = []  # per kept atom: the attempts made by then
+        # (seconds, correlations scanned) after setup, then after each pick
+        # and each attempt: pick j is mark 2j + 1, its attempt mark 2j + 2
+        self._marks = [(time.perf_counter() - start, 0)]
+
+    @property
+    def attempts(self) -> int:
+        return self._walk.attempts
+
+    def check(self, dm: DesignMatrix, y) -> "MaxPath":
+        self._walk.tree.check(dm, y)
+        return self
+
+    def _mark(self, start: float):
+        seconds = self._marks[-1][0] + time.perf_counter() - start
+        self._marks.append((seconds, self._walk.pool.scanned))
+
+    def _pick(self):
+        start = time.perf_counter()
+        walk = self._walk
+        self._picked = walk.pick()
+        self._tops.append(
+            None if self._picked is None else float(walk.pool.scan.values[self._picked])
+        )
+        self._mark(start)
+
+    def _take(self):
+        start = time.perf_counter()
+        if self._walk.take(self._picked):
+            self._kept_at.append(self._walk.attempts)
+        self._mark(start)
+
+    def _reach(self, k: int, delta):
+        """Run on until k + 1 atoms are kept, none is left, or the pick is at or below delta."""
+        while len(self._kept_at) <= k:
+            if len(self._tops) == self._walk.attempts:
+                self._pick()
+            top = self._tops[-1]
+            if top is None or (delta is not None and not top > delta):
+                return
+            self._take()
+
+    def cut(self, criterion: Criterion, k_cap=None, ratio_delta=None) -> FitTrace:
+        """The trace of a max fit with this cap and ratio stop, as if run alone.
+
+        Its ``seconds`` are the path's clock where the fit stops plus the
+        cut itself, not what the path ran for other cuts.
+        """
+        if criterion.kind != "max":
+            raise ValueError(f"a MaxPath serves the max criterion, not {criterion.kind!r}")
+        start, ran = time.perf_counter(), self._marks[-1][0]
+        walk, delta = self._walk, criterion.delta
+        k = first = 0  # atoms kept, attempts made before the current residual
+        while True:
+            norm = walk.residual_norms[k - 1] if k else walk.tree.y_norm
+            reason = _stop_reason(norm, walk.tree.y_norm, k, k_cap, ratio_delta)
+            if reason is not None:
+                iterations, mark = first, 2 * first
+                break
+            self._reach(k, delta)
+            stop = self._kept_at[k] if k < len(self._kept_at) else len(self._tops)
+            for j in range(first, stop):
+                top = self._tops[j]
+                if top is None:
+                    reason = _no_pick_reason(criterion, False)
+                elif delta is not None and not top > delta:
+                    reason = _no_pick_reason(criterion, True)
+                else:
+                    continue
+                break
+            if reason is not None:
+                iterations, mark = j, 2 * j + 1
+                break
+            k, first = k + 1, stop
+        seconds, scanned = self._marks[mark]
+        own = time.perf_counter() - start - (self._marks[-1][0] - ran)
+        return FitTrace(
+            walk.selected[:k], None, walk.residual_norms[:k], walk.selected_corrs[:k], reason,
+            iterations, scanned, walk.tree.dm, walk.state, seconds + own,
+        )
+
+
+def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None, tree=None):
+    """Shared OGL-family loop; k_cap and ratio_delta select the stop rule's clauses.
+
+    ``tree`` is a FitTree the fit shares, or a MaxPath it is cut from.
+    """
+    if k_cap is not None and not 1 <= k_cap <= dm.n:
+        raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
+    if isinstance(tree, MaxPath):
+        return tree.check(dm, y).cut(criterion, k_cap, ratio_delta)
+    walk = _Walk(FitTree._unrecorded(dm, y) if tree is None else tree.check(dm, y), criterion, rng)
+    y_norm = walk.tree.y_norm
+    while True:
+        reason = _stop_reason(
+            walk.state.residual_norm, y_norm, len(walk.selected), k_cap, ratio_delta
+        )
+        if reason is not None:
+            break
+        idx = walk.pick()
+        if idx is None:
+            reason = _no_pick_reason(criterion, bool((dm.live & ~walk.excluded).any()))
+            break
+        walk.take(idx)
     return FitTrace(
-        selected, None, residual_norms, selected_corrs, reason, attempts, pool.scanned, dm, state
+        walk.selected, None, walk.residual_norms, walk.selected_corrs, reason, walk.attempts,
+        walk.pool.scanned, dm, walk.state,
     )
 
 
-def fit_ogl(dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None) -> FitTrace:
+def fit_ogl(
+    dm: DesignMatrix, y, criterion: Criterion, k_max: int, rng=None, tree=None
+) -> FitTrace:
     """Orthogonal greedy fit with an unthresholded criterion, k_max steps."""
     if criterion.thresholded:
         raise ValueError("fit_ogl takes an unthresholded criterion; see fit_togl")
-    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng)
+    return _fit_projection(dm, y, criterion, k_cap=k_max, rng=rng, tree=tree)
 
 
 def fit_togl(

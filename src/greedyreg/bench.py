@@ -5,11 +5,13 @@ dictionaries, and any per-method randomness all derive from the master
 seed through fixed counters, so reruns are reproducible byte for byte
 (timing can be suppressed for exact comparisons).  One k-capped greedy
 fit yields every prefix model, so k-sweeps cost a single fit; threshold
-and regularization sweeps rerun the fit per grid point, and the
+and regularization sweeps rerun the fit per grid point.  Every max fit
+of a cell (ogl, togl and dtogl) is cut from the cell's one MaxPath, and
+its row reports the path's clock where the fit stops.  The other
 orthogonal fits of one threshold sweep share a FitTree, so a prefix that
-several thresholds select is appended and scanned once.  The rows of
-such a sweep report its mean fit time, which does not depend on the
-order of the grid.
+several thresholds select is appended and scanned once; the rows of
+such a sweep report its mean fit time.  Neither depends on the order of
+the grid.
 """
 
 import sys
@@ -69,10 +71,11 @@ class _Algorithm(NamedTuple):
     if empty).  ``grid`` names the ExperimentConfig grid swept: a "k" grid
     is read off one capped fit at every prefix, other grids refit per
     point.  ``fit(dm, y, param, criterion, rng, tree)`` runs one fit;
-    the fits of a delta sweep share the run's FitTree ``tree`` (None for
-    other grids, whose fits ignore it).  It looks the fitting function
-    up on its module at call time, so that a replaced module attribute
-    (as in tracing) takes effect.
+    ``tree`` is the cell's MaxPath for a max criterion, else the FitTree
+    that the fits of a delta sweep share (None for other grids, whose
+    fits ignore it).  It looks the fitting function up on its module at
+    call time, so that a replaced module attribute (as in tracing) takes
+    effect.
     """
 
     criteria: tuple
@@ -86,7 +89,7 @@ _ALGORITHMS = {
         _RANKED,
         "k",
         lambda dm, y, k, crit, rng, tree: algorithms.fit_ogl(
-            dm, y, Criterion(crit), min(k, dm.n), rng
+            dm, y, Criterion(crit), min(k, dm.n), rng, tree
         ),
     ),
     "pgl": _Algorithm((), "k", lambda dm, y, k, crit, rng, tree: algorithms.fit_pgl(dm, y, k)),
@@ -144,6 +147,11 @@ class MethodSpec:
     def grid(self) -> str:
         """Name of the grid this method sweeps: "k", "delta" or "lambda"."""
         return _ALGORITHMS[self.algorithm].grid
+
+    @property
+    def reads_path(self) -> bool:
+        """Whether its fits are cut from the cell's max path (ogl, togl and dtogl with max)."""
+        return self.criterion == "max"
 
 
 def parse_method(text: str) -> MethodSpec:
@@ -227,7 +235,11 @@ def _resolve_grid(config: ExperimentConfig, name: str, n_dict: int) -> list:
 
 @dataclass
 class _Cell:
-    """Shared per-(sigma, seed) state: data, dictionary, designs."""
+    """Shared per-(sigma, seed) state: data, dictionary, designs, and the max path.
+
+    ``path`` is the MaxPath that every max fit of the cell is cut from,
+    made by the first one; the sweep frees it once they have run.
+    """
 
     dm_fit: DesignMatrix
     test_columns: np.ndarray
@@ -237,6 +249,12 @@ class _Cell:
     bound: float
     rmse_scale: float
     materialize_seconds: float
+    path: algorithms.MaxPath | None = None
+
+    def max_path(self) -> algorithms.MaxPath:
+        if self.path is None:
+            self.path = algorithms.MaxPath(self.dm_fit, self.y)
+        return self.path
 
 
 def _prepare_cell(config, full_dataset, sigma_idx, seed) -> _Cell:
@@ -337,11 +355,21 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
     algo = _ALGORITHMS[run.method.algorithm]
     extra = run.cell.materialize_seconds if config.include_materialization else 0.0
     dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
-    tree = algorithms.FitTree(dm, y) if algo.grid == "delta" else None
+    reads_path = run.method.reads_path
+    tree = algorithms.FitTree(dm, y) if algo.grid == "delta" and not reads_path else None
 
     def fit(param):
         rng = np.random.default_rng([run.seed, 19, sigma_idx, method_idx])
-        result, seconds = time_fit(lambda: algo.fit(dm, y, param, crit, rng, tree))
+
+        def thunk():
+            # the path is made in a fit, so that a target it rejects flags the rows
+            shared = run.cell.max_path() if reads_path else tree
+            return algo.fit(dm, y, param, crit, rng, shared)
+
+        result, seconds = time_fit(thunk)
+        if reads_path and result.seconds is not None:
+            # the path's clock where the fit stops, not what it ran for other fits
+            seconds = result.seconds
         return result, seconds + extra
 
     if algo.grid == "k":
@@ -389,11 +417,16 @@ def sweep(config: ExperimentConfig) -> list:
 
     grids = [_resolve_grid(config, method.grid, n_dict) for method in config.methods]
 
+    # The max fits of a cell read its path: run them first, then free the path.
+    order = sorted(range(len(config.methods)), key=lambda i: not config.methods[i].reads_path)
     keyed = []
     for sigma_idx, sigma in enumerate(sigma_values):
         for seed in config.seeds:
             cell = _prepare_cell(config, full_dataset, sigma_idx, seed)
-            for method_idx, method in enumerate(config.methods):
+            for method_idx in order:
+                method = config.methods[method_idx]
+                if not method.reads_path:
+                    cell.path = None
                 run = _Run(method, cell, sigma, seed)
                 rows = _run_method(run, grids[method_idx], config, sigma_idx, method_idx)
                 for grid_pos, row in enumerate(rows):

@@ -9,9 +9,11 @@ eta^2), so design entries always lie in (0, 1].
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .core import DesignMatrix
+
+# Center pairs per block of the d_max computation.
+_PAIR_BLOCK = 2**16
 
 
 class BadRange(ValueError):
@@ -72,11 +74,34 @@ def build_rbf_from_samples(train_inputs) -> RbfSpec:
         centers = centers.reshape(-1, 1)
     if centers.shape[0] < 2:
         raise DegenerateCenters("need at least 2 training inputs")
-    d_max = float(pdist(centers).max())
+    d_max = _max_distance(centers)
     if d_max <= 0:
         raise DegenerateCenters("all training inputs identical (d_max = 0)")
     n = centers.shape[0]
     return RbfSpec(centers, d_max / np.sqrt(2 * n))
+
+
+def _max_distance(centers) -> float:
+    """Largest pairwise Euclidean distance among the rows of ``centers``.
+
+    Each squared distance is summed coordinate by coordinate in order,
+    so it comes out bit for bit as scipy's ``pdist(centers).max()``;
+    ``(diff * diff).sum(axis=1)`` sums in another order.  A block of
+    rows is compared with every later row, so a pair inside a block is
+    seen twice, with the same value.
+    """
+    n, d = centers.shape
+    step = max(1, _PAIR_BLOCK // n)
+    best = 0.0
+    for start in range(0, n - 1, step):
+        rows, later = centers[start : start + step], centers[start + 1 :]
+        diff = later[None, :, 0] - rows[:, None, 0]
+        sq = diff * diff
+        for j in range(1, d):
+            diff = later[None, :, j] - rows[:, None, j]
+            sq += diff * diff
+        best = max(best, float(sq.max()))
+    return float(np.sqrt(best))
 
 
 def evaluate_atoms(spec: RbfSpec, inputs, indices=None) -> np.ndarray:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from greedyreg.algorithms import (
     ZERO_RESIDUAL_RTOL,
     FitTree,
     IndexOutOfRange,
+    MaxPath,
     _fit_projection,
     fit_delta_togl,
     fit_ogl,
@@ -26,6 +29,7 @@ from greedyreg.core import (
 from greedyreg.data import gen_sinc
 from greedyreg.dictionary import (
     RbfSpec,
+    build_rbf_from_samples,
     build_rbf_uniform,
     evaluate_design,
     normalize_columns,
@@ -454,6 +458,101 @@ class TestFitTree:
         other = DesignMatrix(dm.columns.copy(), dm.column_norms, normalized=True)
         with pytest.raises(ValueError, match="another design or target"):
             fit_delta_togl(other, y, 0.1, tree=tree)
+
+
+def _full_rank_design():
+    """A data-centred RBF design (centers = inputs, m = n = 360) of full
+    rank: a small-delta fit keeps more atoms than the 300-atom cap."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0.0, 1.0, size=(360, 3))
+    y = np.sin(2.0 * np.pi * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(360)
+    dm = normalize_columns(evaluate_design(build_rbf_from_samples(x), x))
+    return dm, y - y.mean()
+
+
+def _all_fields(trace):
+    return _trace_facts(trace) + (trace.atoms_scanned,)
+
+
+class TestMaxPath:
+    """Every max fit of one design and target is a cut of one unthresholded
+    path: bit for bit the fit run alone, with the path run only as far as
+    the cuts needed."""
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        low_dm, low_y = _low_rank_design()
+        full_dm, full_y = _full_rank_design()
+        # a target equal to one atom: its fit leaves a zero residual
+        return {
+            "low rank": (low_dm, low_y, (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.9)),
+            "one atom": (low_dm, 3.0 * low_dm.columns[:, 320], (1e-6, 0.3)),
+            "full rank": (full_dm, full_y, (1e-4, 5e-3, 0.05, 0.3)),
+        }
+
+    @staticmethod
+    def _check(fit, path, reasons):
+        cut, alone = fit(path), fit(None)
+        assert _all_fields(cut) == _all_fields(alone)
+        assert np.array_equal(cut.final_model().coefficients, alone.final_model().coefficients)
+        assert alone.seconds is None and cut.seconds >= 0.0
+        reasons.add((cut.termination_reason, cut.degenerate_skips > 0))
+
+    def test_cuts_match_direct_fits(self, designs):
+        reasons, attempts = set(), {}
+        for name, (dm, y, deltas) in designs.items():
+            path = MaxPath(dm, y)
+            cap = min(dm.n, 300)
+            for delta in deltas:
+                crit = Criterion("max", delta)
+                self._check(lambda p: fit_togl(dm, y, crit, cap, None, p), path, reasons)
+                self._check(lambda p: fit_delta_togl(dm, y, delta, "max", None, p), path, reasons)
+            for k in (1, 7, cap, dm.n):
+                self._check(lambda p: fit_ogl(dm, y, Criterion("max"), k, None, p), path, reasons)
+            attempts[name] = path.attempts
+        kinds = {reason for reason, _ in reasons}
+        assert {ZERO_RESIDUAL, FIXED_K, RESIDUAL_RATIO, DICTIONARY_EXHAUSTED} <= kinds
+        assert (NO_ACTIVE_ATOM, True) in reasons  # stopped after degenerate skips
+        # the full-rank path ran past the 300-atom cap
+        assert attempts["full rank"] > 300
+
+    def test_path_runs_only_as_far_as_its_cuts_need(self, designs):
+        dm, y, _ = designs["full rank"]
+        path = MaxPath(dm, y)
+        large = fit_delta_togl(dm, y, 0.3, "max", None, path)
+        assert path.attempts == fit_delta_togl(dm, y, 0.3, "max").iterations == large.iterations
+        small = fit_delta_togl(dm, y, 1e-4, "max", None, path)
+        assert path.attempts == small.iterations > large.iterations
+        # a later cut at a larger delta makes no attempt
+        fit_delta_togl(dm, y, 0.05, "max", None, path)
+        assert path.attempts == small.iterations
+
+    def test_cut_seconds_cover_its_own_stretch_of_the_path(self, designs, monkeypatch):
+        # a clock that advances one second per selection
+        clock = [0.0]
+        real_select = algorithms.select_atom
+
+        def select(*args):
+            clock[0] += 1.0
+            return real_select(*args)
+
+        monkeypatch.setattr(algorithms, "select_atom", select)
+        monkeypatch.setattr(algorithms, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        dm, y, _ = designs["full rank"]
+        path = MaxPath(dm, y)
+        for delta in (1e-4, 0.3, 0.05, 0.3):
+            seconds = fit_delta_togl(dm, y, delta, "max", None, path).seconds
+            start = clock[0]
+            fit_delta_togl(dm, y, delta, "max")
+            assert seconds == clock[0] - start  # the selections the fit makes alone
+
+    def test_serves_only_its_design_target_and_criterion(self, designs):
+        dm, y, _ = designs["low rank"]
+        path = MaxPath(dm, y)
+        with pytest.raises(ValueError, match="another design or target"):
+            fit_delta_togl(dm, y + 1.0, 0.1, "max", None, path)
+        with pytest.raises(ValueError, match="max criterion"):
+            fit_delta_togl(dm, y, 0.1, "first", None, path)
 
 
 class TestPredict:

@@ -171,6 +171,47 @@ class TestSweep:
         assert untimed(shared) == untimed(alone)
         assert shared_appends < len(appends)
 
+    def test_max_fits_are_cut_from_one_path_per_cell(self, monkeypatch):
+        cfg = _tiny_config(
+            methods=[parse_method(m) for m in ("dtogl:max", "ogl:max", "pgl", "togl:max")],
+            sigmas=[0.1, 1.0],
+            delta_grid=[1e-6, 1e-3, 0.2],
+        )
+        appends = []
+        real_append = algorithms.project_append
+        monkeypatch.setattr(
+            algorithms, "project_append", lambda *args: appends.append(1) or real_append(*args)
+        )
+        shared = sweep(cfg)
+        shared_appends = len(appends)
+        attempts = []  # per cell: the most any of its max fits makes alone
+        for name in ("fit_ogl", "fit_togl", "fit_delta_togl"):
+            # the bench passes the cell's path last; drop it, so each fit runs alone
+            def alone_fit(*args, _real=getattr(algorithms, name)):
+                trace = _real(*args[:-1])
+                attempts.append((args[0], trace.iterations))
+                return trace
+
+            monkeypatch.setattr(algorithms, name, alone_fit)
+        alone = sweep(cfg)
+        untimed = lambda rows: [dataclasses.replace(row, seconds=0.0) for row in rows]
+        assert untimed(shared) == untimed(alone)
+        per_cell = {}
+        for dm, count in attempts:
+            per_cell[id(dm)] = max(per_cell.get(id(dm), 0), count)
+        assert len(per_cell) == 2
+        assert shared_appends == sum(per_cell.values())
+
+    def test_a_large_delta_path_reader_makes_no_extra_attempt(self, monkeypatch):
+        appends = []
+        real_append = algorithms.project_append
+        monkeypatch.setattr(
+            algorithms, "project_append", lambda *args: appends.append(1) or real_append(*args)
+        )
+        cfg = _tiny_config(methods=[parse_method("dtogl:max")], delta_grid=[0.3])
+        (row,) = sweep(cfg)
+        assert len(appends) == row.iterations
+
     def test_delta_sweep_rows_carry_the_mean_fit_time(self, monkeypatch):
         # fits of a delta sweep share a tree, so each row reports the sweep's mean
         clocks = iter([1.0, 2.0, 3.0, 6.0])

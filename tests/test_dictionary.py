@@ -64,6 +64,16 @@ class TestBuildFromSamples:
         with pytest.raises(DegenerateCenters):
             build_rbf_from_samples(np.array([[1.0]]))
 
+    def test_width_matches_pdist_bit_for_bit(self):
+        # the CSV task's dictionary width, and so its report bytes, hang on these bits
+        pdist = pytest.importorskip("scipy.spatial.distance").pdist
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 401)), int(rng.integers(1, 12))
+            centers = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+            spec = build_rbf_from_samples(centers)
+            assert spec.eta == float(pdist(centers).max()) / np.sqrt(2 * n)
+
 
 class TestEvaluateDesign:
     def test_zero_distance_gives_one(self):

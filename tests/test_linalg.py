@@ -43,6 +43,12 @@ class TestEmpiricalNorm:
         for c in (-2.5, 0.75):
             assert empirical_norm([c] * 7) == pytest.approx(abs(c))
 
+    def test_bits_of_the_mean_form(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            v = rng.standard_normal(int(rng.integers(1, 3000))) * rng.uniform(1e-3, 1e3)
+            assert empirical_norm(v) == float(np.sqrt(np.mean(v**2)))
+
     def test_matches_inner(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(11)
