@@ -221,7 +221,7 @@ def _stop_reason(residual_norm, y_norm, k, k_cap, ratio_delta):
 
 
 def _no_pick_reason(criterion: Criterion, atoms_left: bool):
-    """Why a fit stops when its selection offers no atom; ``atoms_left``: live atoms remain untried."""
+    """Why a fit stops when its selection offers none; ``atoms_left``: a live atom is untried."""
     return NO_ACTIVE_ATOM if criterion.thresholded and atoms_left else DICTIONARY_EXHAUSTED
 
 
@@ -246,7 +246,7 @@ class _Walk:
         )
 
     def take(self, idx: int) -> bool:
-        """Try atom ``idx``: True if it was appended, False if its degenerate column was skipped."""
+        """Try atom ``idx``: True if appended, False if its degenerate column was skipped."""
         self.attempts += 1
         self.excluded[idx] = True
         node = self.node
@@ -293,10 +293,6 @@ class MaxPath:
         # (seconds, correlations scanned) after setup, then after each pick
         # and each attempt: pick j is mark 2j + 1, its attempt mark 2j + 2
         self._marks = [(time.perf_counter() - start, 0)]
-
-    @property
-    def attempts(self) -> int:
-        return self._walk.attempts
 
     def check(self, dm: DesignMatrix, y) -> "MaxPath":
         self._walk.tree.check(dm, y)

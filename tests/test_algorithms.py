@@ -497,35 +497,44 @@ class TestMaxPath:
         assert np.array_equal(cut.final_model().coefficients, alone.final_model().coefficients)
         assert alone.seconds is None and cut.seconds >= 0.0
         reasons.add((cut.termination_reason, cut.degenerate_skips > 0))
+        return cut.iterations
 
     def test_cuts_match_direct_fits(self, designs):
-        reasons, attempts = set(), {}
+        reasons, longest = set(), {}
         for name, (dm, y, deltas) in designs.items():
             path = MaxPath(dm, y)
             cap = min(dm.n, 300)
+            cuts = [
+                lambda p, k=k: fit_ogl(dm, y, Criterion("max"), k, None, p)
+                for k in (1, 7, cap, dm.n)
+            ]
             for delta in deltas:
                 crit = Criterion("max", delta)
-                self._check(lambda p: fit_togl(dm, y, crit, cap, None, p), path, reasons)
-                self._check(lambda p: fit_delta_togl(dm, y, delta, "max", None, p), path, reasons)
-            for k in (1, 7, cap, dm.n):
-                self._check(lambda p: fit_ogl(dm, y, Criterion("max"), k, None, p), path, reasons)
-            attempts[name] = path.attempts
+                cuts.append(lambda p, crit=crit: fit_togl(dm, y, crit, cap, None, p))
+                cuts.append(lambda p, delta=delta: fit_delta_togl(dm, y, delta, "max", None, p))
+            longest[name] = max(self._check(fit, path, reasons) for fit in cuts)
         kinds = {reason for reason, _ in reasons}
         assert {ZERO_RESIDUAL, FIXED_K, RESIDUAL_RATIO, DICTIONARY_EXHAUSTED} <= kinds
         assert (NO_ACTIVE_ATOM, True) in reasons  # stopped after degenerate skips
         # the full-rank path ran past the 300-atom cap
-        assert attempts["full rank"] > 300
+        assert longest["full rank"] > 300
 
-    def test_path_runs_only_as_far_as_its_cuts_need(self, designs):
+    def test_path_runs_only_as_far_as_its_cuts_need(self, designs, monkeypatch):
         dm, y, _ = designs["full rank"]
+        deltas = (0.3, 0.05, 1e-4)
+        alone = {delta: fit_delta_togl(dm, y, delta, "max").iterations for delta in deltas}
+        appends = []
+        real_append = algorithms.project_append
+        monkeypatch.setattr(
+            algorithms, "project_append", lambda *args: appends.append(1) or real_append(*args)
+        )
         path = MaxPath(dm, y)
-        large = fit_delta_togl(dm, y, 0.3, "max", None, path)
-        assert path.attempts == fit_delta_togl(dm, y, 0.3, "max").iterations == large.iterations
-        small = fit_delta_togl(dm, y, 1e-4, "max", None, path)
-        assert path.attempts == small.iterations > large.iterations
-        # a later cut at a larger delta makes no attempt
-        fit_delta_togl(dm, y, 0.05, "max", None, path)
-        assert path.attempts == small.iterations
+        # the first cut stops at its first pick, which the path then leaves untried
+        appended = ((0.3, 0), (0.05, alone[0.05]), (1e-4, alone[1e-4]), (0.3, alone[1e-4]))
+        for delta, made in appended:
+            assert fit_delta_togl(dm, y, delta, "max", None, path).iterations == alone[delta]
+            assert len(appends) == made
+        assert 0 == alone[0.3] < alone[0.05] < alone[1e-4]
 
     def test_cut_seconds_cover_its_own_stretch_of_the_path(self, designs, monkeypatch):
         # a clock that advances one second per selection
