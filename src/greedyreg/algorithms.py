@@ -97,7 +97,7 @@ class FitTrace:
             return SparseModel((), np.zeros(0))
         if self.state is not None:
             selected = self.selected[:k]
-            coefs = solve_coefficients(self.state, k)
+            (coefs,) = solve_coefficients(self.state, [k])
             return SparseModel(tuple(selected), self.dm.to_raw_coefficients(coefs, selected))
         atoms, coefs = [], []
         position = {}
@@ -497,20 +497,22 @@ def prefix_predictions(trace: FitTrace, columns: np.ndarray, ks) -> dict:
 
     ``columns`` is a raw design matrix evaluated wherever predictions are
     wanted.  Counts beyond the fitted length reuse the final model, so a
-    projection trace solves each distinct prefix once.  Additive traces
-    are accumulated in a single pass.
+    projection trace solves each distinct prefix once, all in one call
+    of solve_coefficients.  Additive traces are accumulated in a single
+    pass.
     """
     ks = sorted({int(k) for k in ks})
     out = {}
     if trace.state is not None:
         by_prefix = {0: np.zeros(columns.shape[0])}
-        for k in ks:
-            k_eff = min(k, trace.k_fitted)
-            if k_eff not in by_prefix:
-                model = trace.prefix_model(k_eff)
-                by_prefix[k_eff] = columns[:, trace.selected[:k_eff]] @ model.coefficients
-            out[k] = by_prefix[k_eff]
-        return out
+        solved = sorted({min(k, trace.k_fitted) for k in ks} - {0})
+        if solved:
+            # one gather; each prefix's product reads its leading columns
+            picked = columns[:, trace.selected[: solved[-1]]]
+            to_raw = trace.dm.to_raw_coefficients
+            for k, coefs in zip(solved, solve_coefficients(trace.state, solved)):
+                by_prefix[k] = picked[:, :k] @ to_raw(coefs, trace.selected[:k])
+        return {k: by_prefix[min(k, trace.k_fitted)] for k in ks}
     pred = np.zeros(columns.shape[0])
     wanted = set(ks)
     if 0 in wanted:

@@ -12,9 +12,9 @@ Coefficients are returned in the basis of the design columns as given.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import CONVERGED, FIXED_K, MAX_ITER, DesignMatrix
+from .linalg import cholesky_solve
 
 
 class FactorizationFailure(ArithmeticError):
@@ -55,7 +55,7 @@ def fit_ridge(dm: DesignMatrix, y, lam: float) -> DenseModel:
     gram[np.diag_indices_from(gram)] += lam
     rhs = (dm.columns.T @ y) / dm.m
     try:
-        coef = cho_solve(cho_factor(gram), rhs)
+        coef = cholesky_solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(str(exc)) from exc
     return DenseModel(coef, lam)

@@ -85,7 +85,8 @@ def _max_distance(centers) -> float:
     """Largest pairwise Euclidean distance among the rows of ``centers``.
 
     Each squared distance is summed coordinate by coordinate in order,
-    so it comes out bit for bit as scipy's ``pdist(centers).max()``;
+    so it comes out bit for bit as the usual pairwise-distance routine
+    (``pdist(centers).max()``, which tests compare against);
     ``(diff * diff).sum(axis=1)`` sums in another order.  A block of
     rows is compared with every later row, so a pair inside a block is
     seen twice, with the same value.

@@ -5,12 +5,15 @@ thresholds stay comparable across sample sizes.  The projection engine
 is an incremental modified Gram-Schmidt QR under that inner product with
 one reorthogonalization pass per appended column; each append costs
 O(m*k) and keeps the residual orthogonal to the selected span to ~1e-8.
+Triangular solves accumulate in ``np.longdouble`` and round once to
+float64; where ``np.longdouble`` is float64 they are plain float64
+back-substitutions.
 """
 
+import bisect
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import LengthMismatch
 
@@ -165,18 +168,57 @@ def replay_append(state: ProjectionState, append: Append) -> ProjectionState:
     return state
 
 
-def solve_coefficients(state: ProjectionState, k=None) -> np.ndarray:
-    """Least-squares coefficients of the state's target over its first k (default: all) columns.
+def _back_substitute(r, z, lengths) -> np.ndarray:
+    """Solve r[:k, :k] x = z[p, :k] for every row p of z, with k = lengths[p], in long double.
 
-    Back-substitution through the leading k-by-k triangular block; the
-    result minimizes the empirical norm of y minus their span combination.
+    ``r`` is upper triangular, ``lengths`` is nondecreasing and each row
+    of z is zero past its length.  Column-oriented back-substitution:
+    row i of r updates only the systems longer than i, so each system's
+    arithmetic is the same however many others ride along.  Returns the
+    solutions as the rows of a long-double array, zero past their length.
     """
-    k = state.k if k is None else k
-    if not 1 <= k <= state.k:
-        raise ValueError(f"prefix length must be in [1, {state.k}], got {k}")
-    r = state._r[:k, :k]
-    diag = np.abs(np.diag(r))
-    if diag.min() < DEGENERATE_TOL:
+    x = np.array(z, dtype=np.longdouble)
+    r_cols = np.array(r.T, dtype=np.longdouble)  # row i is column i of r, contiguous
+    for i in range(r_cols.shape[0] - 1, -1, -1):
+        rows = x[bisect.bisect_right(lengths, i) :]
+        xi = rows[:, i : i + 1]
+        xi /= r_cols[i, i : i + 1]
+        rows[:, :i] -= xi * r_cols[i, :i]
+    return x
+
+
+def solve_coefficients(state: ProjectionState, ks=None) -> list:
+    """Least-squares coefficients of the state's target over each prefix of its columns.
+
+    ``ks`` lists nondecreasing prefix lengths (default: all columns,
+    ``[state.k]``); the result holds one coefficient vector per entry.
+    Each vector minimizes the empirical norm of y minus the span
+    combination of its first k columns, solved through the leading
+    k-by-k triangular block against that prefix's own Q'y/m.  All
+    prefixes are solved in one pass, each bit for bit as if alone.
+    """
+    ks = [state.k] if ks is None else [int(k) for k in ks]
+    if not ks or ks != sorted(ks) or not 1 <= ks[0] <= ks[-1] <= state.k:
+        raise ValueError(f"prefix lengths must be nondecreasing in [1, {state.k}], got {ks}")
+    r = state._r[: ks[-1], : ks[-1]]
+    if np.abs(np.diag(r)).min() < DEGENERATE_TOL:
         raise SingularFactor("triangular factor is numerically singular")
-    z = (state._q[:, :k].T @ state.y) / state.m
-    return solve_triangular(r, z, lower=False)
+    z = np.zeros((len(ks), ks[-1]))
+    for row, k in enumerate(ks):
+        z[row, :k] = (state._q[:, :k].T @ state.y) / state.m
+    x = _back_substitute(r, z, ks).astype(float)
+    return [x[row, :k] for row, k in enumerate(ks)]
+
+
+def cholesky_solve(a, b) -> np.ndarray:
+    """Solve a x = b for symmetric positive definite ``a`` by its Cholesky factor.
+
+    Raises np.linalg.LinAlgError when ``a`` is not positive definite.
+    The lower solve L w = b is the upper solve on L with its rows and
+    columns reversed; w stays in long double for the solve with L'.
+    """
+    low = np.linalg.cholesky(a)
+    n = low.shape[0]
+    b = np.asarray(b, dtype=float)
+    w = _back_substitute(low[::-1, ::-1], b[None, ::-1], [n])[:, ::-1]
+    return _back_substitute(low.T, w, [n])[0].astype(float)

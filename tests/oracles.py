@@ -57,3 +57,23 @@ def coordinate_descent_lasso(columns, y, lam, max_cycles=50000, tol=1e-13):
         if max_change < tol:
             break
     return a
+
+
+def long_double_back_substitution(r, z):
+    """Solve upper triangular r x = z row by row in np.longdouble, left unrounded.
+
+    Each unknown takes one dot product with those already solved, the
+    row-oriented order; the library's solve is column-oriented.
+    """
+    r = np.asarray(r, dtype=np.longdouble)
+    x = np.array(z, dtype=np.longdouble)
+    for i in range(x.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
+    return x
+
+
+def forward_error(x, exact):
+    """max |x - exact| / max |exact|, computed in np.longdouble."""
+    exact = np.asarray(exact, dtype=np.longdouble)
+    diff = np.asarray(x, dtype=np.longdouble) - exact
+    return float(np.abs(diff).max() / np.abs(exact).max())

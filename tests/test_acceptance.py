@@ -309,7 +309,7 @@ def test_criterion_6_oracle_equivalences():
         state = ProjectionState(y)
         for j in range(k):
             project_append(state, g[:, j])
-        coef = solve_coefficients(state)
+        (coef,) = solve_coefficients(state)
         oracle = np.linalg.solve(g.T @ g, g.T @ y)
         scale = max(1.0, float(np.max(np.abs(oracle))))
         if np.max(np.abs(coef - oracle)) / scale > 1e-8:

@@ -604,7 +604,7 @@ class TestPrefixMachinery:
                 if model.sparsity
                 else np.zeros(6)
             )
-            np.testing.assert_allclose(pred, direct, atol=1e-12)
+            np.testing.assert_array_equal(pred, direct)
 
     def test_prefix_predictions_match_models_additive(self):
         rng = np.random.default_rng(14)

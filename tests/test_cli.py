@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -264,3 +265,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "test_rmse:" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, greedyreg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import greedyreg as gr
+from greedyreg.algorithms import fit_ogl
 from greedyreg.core import LengthMismatch
+from greedyreg.greedy import Criterion
 from greedyreg.linalg import (
     DegenerateColumn,
     NonPositiveBound,
@@ -14,6 +17,7 @@ from greedyreg.linalg import (
     solve_coefficients,
     truncate_values,
 )
+from oracles import forward_error, long_double_back_substitution
 
 
 class TestEmpiricalInner:
@@ -143,7 +147,7 @@ class TestReplayAppend:
             assert replayed.k == state.k
             assert replayed.residual_norm == state.residual_norm
             assert np.array_equal(replayed.residual, state.residual)
-            assert np.array_equal(solve_coefficients(replayed), solve_coefficients(state))
+            assert np.array_equal(solve_coefficients(replayed)[0], solve_coefficients(state)[0])
         np.testing.assert_array_equal(replayed.y, y)
 
 
@@ -152,14 +156,14 @@ class TestSolveCoefficients:
         g = np.array([0.3, -0.7, 1.1])
         state = ProjectionState(2.0 * g)
         project_append(state, g)
-        np.testing.assert_allclose(solve_coefficients(state), [2.0], atol=1e-12)
+        np.testing.assert_allclose(solve_coefficients(state)[0], [2.0], atol=1e-12)
 
     def test_canonical_basis(self):
         y = np.array([3.0, 4.0])
         state = ProjectionState(y)
         project_append(state, np.array([1.0, 0.0]))
         project_append(state, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(solve_coefficients(state), [3.0, 4.0], atol=1e-12)
+        np.testing.assert_allclose(solve_coefficients(state)[0], [3.0, 4.0], atol=1e-12)
 
     def test_empty_state_rejected(self):
         state = ProjectionState(np.ones(3))
@@ -178,7 +182,7 @@ class TestSolveCoefficients:
             for j in range(k):
                 project_append(prefix_state, g[:, j])
             assert np.array_equal(
-                solve_coefficients(state, k), solve_coefficients(prefix_state)
+                solve_coefficients(state, [k])[0], solve_coefficients(prefix_state)[0]
             )
 
     @pytest.mark.parametrize("k", [0, 3])
@@ -187,7 +191,7 @@ class TestSolveCoefficients:
         project_append(state, np.array([1.0, 0.0, 0.0]))
         project_append(state, np.array([0.0, 1.0, 0.0]))
         with pytest.raises(ValueError):
-            solve_coefficients(state, k)
+            solve_coefficients(state, [k])
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(7)
@@ -196,9 +200,72 @@ class TestSolveCoefficients:
         state = ProjectionState(y)
         for j in range(3):
             project_append(state, g[:, j])
-        coef = solve_coefficients(state)
+        (coef,) = solve_coefficients(state)
         oracle = np.linalg.solve(g.T @ g, g.T @ y)
         np.testing.assert_allclose(coef, oracle, atol=1e-8)
+
+
+class TestBatchedSolve:
+    def test_batched_prefixes_match_single_prefix_solves(self):
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((40, 25))
+        y = rng.standard_normal(40)
+        state = ProjectionState(y)
+        for j in range(25):
+            project_append(state, g[:, j])
+        ks = [1, 3, 3, 9, 17, 24, 25]
+        for k, coefs in zip(ks, solve_coefficients(state, ks)):
+            assert coefs.shape == (k,)
+            assert np.array_equal(coefs, solve_coefficients(state, [k])[0])
+        assert np.array_equal(solve_coefficients(state)[0], solve_coefficients(state, [25])[0])
+
+    @pytest.mark.parametrize("ks", [[], [2, 1]])
+    def test_empty_or_decreasing_prefix_list_rejected(self, ks):
+        state = ProjectionState(np.ones(3))
+        project_append(state, np.array([1.0, 0.0, 0.0]))
+        project_append(state, np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError):
+            solve_coefficients(state, ks)
+
+
+class TestSolveAccuracy:
+    # Four unit roundoffs: at most one rounding of a long-double solution, with room.
+    BOUND = 2.0**-51
+
+    @staticmethod
+    def _rank_deficient_trace():
+        """ogl:rand run past numerical rank on a uniform RBF design (rank about 25)."""
+        train, _ = gr.gen_sinc(200, 10, sigma=0.1, rng=np.random.default_rng(0))
+        spec = gr.build_rbf_uniform(60, -np.pi, np.pi, eta=1.0, rng=np.random.default_rng(100))
+        dm = gr.normalize_columns(gr.evaluate_design(spec, train.inputs))
+        trace = fit_ogl(dm, train.targets, Criterion("rand"), 60, rng=np.random.default_rng(200))
+        assert trace.k_fitted > 25
+        state = trace.state
+        r = state._r[: state.k, : state.k]
+        assert np.linalg.cond(r) > 1e12
+        return state
+
+    @staticmethod
+    def _errors(state, coefficient_vectors):
+        errors = []
+        for k, coefs in enumerate(coefficient_vectors, 1):
+            z = (state._q[:, :k].T @ state.y) / state.m
+            errors.append(forward_error(coefs, long_double_back_substitution(state._r[:k, :k], z)))
+        return errors
+
+    def test_ill_conditioned_factor_within_one_rounding(self):
+        state = self._rank_deficient_trace()
+        ks = range(1, state.k + 1)
+        assert max(self._errors(state, solve_coefficients(state, ks))) <= self.BOUND
+
+    def test_bound_is_missed_by_a_float64_solve(self):
+        solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
+        state = self._rank_deficient_trace()
+        solved = [
+            solve_triangular(state._r[:k, :k], (state._q[:, :k].T @ state.y) / state.m)
+            for k in range(1, state.k + 1)
+        ]
+        assert max(self._errors(state, solved)) > self.BOUND
 
 
 class TestProjectionInvariants:
@@ -243,12 +310,12 @@ class TestProjectionInvariants:
             state = ProjectionState(y)
             for j in range(k):
                 project_append(state, g[:, j])
-            coef = solve_coefficients(state)
+            (coef,) = solve_coefficients(state)
             oracle = np.linalg.solve(g.T @ g, g.T @ y)
             denom = max(1.0, np.max(np.abs(oracle)))
             assert np.max(np.abs(coef - oracle)) / denom <= 1e-8
 
     def test_residual_is_projection_complement(self):
         state, _, g, y = self._run_instance(11, m=15, n_cols=4)
-        coef = solve_coefficients(state)
+        (coef,) = solve_coefficients(state)
         np.testing.assert_allclose(state.residual, y - g @ coef, atol=1e-10)

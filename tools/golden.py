@@ -75,6 +75,17 @@ def golden_runs(outdir, workdir):
     return runs
 
 
+def import_src(src):
+    """Import greedyreg from the source tree ``src``; a message if it came from elsewhere."""
+    src = os.path.abspath(src)
+    sys.path[:0] = [src, ROOT]
+    import greedyreg
+
+    if not os.path.abspath(greedyreg.__file__).startswith(src + os.sep):
+        return f"greedyreg imported from {greedyreg.__file__}, not {src}"
+    return None
+
+
 def run_cli(argv):
     from greedyreg.cli import main
 
@@ -89,12 +100,9 @@ def main(argv=None):
     parser.add_argument("outdir")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     args = parser.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path[:0] = [src, ROOT]
-    import greedyreg
-
-    if not os.path.abspath(greedyreg.__file__).startswith(src + os.sep):
-        print(f"greedyreg imported from {greedyreg.__file__}, not {src}", file=sys.stderr)
+    problem = import_src(args.src)
+    if problem:
+        print(problem, file=sys.stderr)
         return 2
     os.makedirs(args.outdir, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
