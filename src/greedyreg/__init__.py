@@ -59,4 +59,4 @@ __all__ = [
     "zscore_fit_apply",
 ]
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

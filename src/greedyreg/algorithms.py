@@ -38,6 +38,7 @@ from .greedy import (
 from .linalg import (
     DegenerateColumn,
     ProjectionState,
+    clearly_degenerate,
     empirical_norm,
     project_append,
     replay_append,
@@ -246,25 +247,40 @@ class _Walk:
         )
 
     def take(self, idx: int) -> bool:
-        """Try atom ``idx``: True if appended, False if its degenerate column was skipped."""
+        """Try atom ``idx``: True if appended, False if its degenerate column was skipped.
+
+        An atom the pool flagged is skipped without an append; an append
+        that fails has the pool screen its next candidates.
+        """
         self.attempts += 1
         self.excluded[idx] = True
-        node = self.node
+        node, pool = self.node, self.pool
         child = node.children.get(idx, node)
+        failed = False
         if child is node:
-            child = _new_child(self.tree, node, self.state, idx)
+            if pool.flagged(idx):
+                child = None
+                self.tree.record(node, idx, None, 0)
+            else:
+                child = _new_child(self.tree, node, self.state, idx)
+                failed = child is None
         elif child is not None:
             replay_append(self.state, child.append)
         if child is None:
             # The residual is unchanged, so the pool still holds its candidates.
-            self.pool.skip(idx)
+            pool.skip(idx)
+            if failed:
+                pool.screen(self._degenerate)
             return False
         self.node = child
-        self.pool.reset(child.scan)
+        pool.reset(child.scan)
         self.selected.append(idx)
         self.residual_norms.append(self.state.residual_norm)
         self.selected_corrs.append(child.corr)
         return True
+
+    def _degenerate(self, atoms):
+        return clearly_degenerate(self.state, self.tree.dm.columns[:, atoms])
 
 
 class MaxPath:
@@ -281,7 +297,13 @@ class MaxPath:
     cut reads the fit's trace off these records bit for bit, and shares
     the path's QR factor for prefix solves.  The path runs only as far
     as its cuts have needed: a pick at or below a cut's delta waits
-    untried until a smaller delta asks for it.
+    untried until a smaller delta asks for it.  Past the design's
+    numerical rank most picks are atoms the pool flagged as clearly
+    degenerate; the path takes a run of them in one step, recording per
+    pick its correlation and attempt as it would one by one, and all
+    the run's marks read the clock at its end.  A run stops before the
+    first pick at or below the delta that called it, so it makes no
+    attempt a cut did not need.
     """
 
     def __init__(self, dm: DesignMatrix, y):
@@ -317,10 +339,29 @@ class MaxPath:
             self._kept_at.append(self._walk.attempts)
         self._mark(start)
 
+    def _skip_flagged(self, delta) -> bool:
+        """Pick and skip the flagged atoms above delta that lead the pool; False if there are none.
+
+        The walk's tree records nothing, so nothing is written into it.
+        """
+        start = time.perf_counter()
+        walk = self._walk
+        run = walk.pool.pop_flagged(delta)
+        if run.size == 0:
+            return False
+        walk.attempts += run.size
+        walk.excluded[run] = True
+        self._tops.extend(walk.pool.scan.values[run].tolist())
+        seconds = self._marks[-1][0] + time.perf_counter() - start
+        self._marks.extend([(seconds, walk.pool.scanned)] * (2 * run.size))
+        return True
+
     def _reach(self, k: int, delta):
         """Run on until k + 1 atoms are kept, none is left, or the pick is at or below delta."""
         while len(self._kept_at) <= k:
             if len(self._tops) == self._walk.attempts:
+                if self._skip_flagged(delta):
+                    continue
                 self._pick()
             top = self._tops[-1]
             if top is None or (delta is not None and not top > delta):

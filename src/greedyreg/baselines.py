@@ -9,6 +9,7 @@ regularization weight is comparable across sample sizes:
 Coefficients are returned in the basis of the design columns as given.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,16 @@ def fit_ridge(dm: DesignMatrix, y, lam: float) -> DenseModel:
     return DenseModel(coef, lam)
 
 
-def _soft_threshold_vec(values, t):
-    return np.sign(values) * np.maximum(np.abs(values) - t, 0.0)
+def _soft_threshold_vec(values, t, out=None, magnitude=None):
+    """sign(values) * max(|values| - t, 0), written into ``out`` when given.
+
+    ``magnitude``, when given, receives max(|values| - t, 0): the
+    absolute values of the result.
+    """
+    magnitude = np.abs(values, out=magnitude)
+    magnitude -= t
+    np.maximum(magnitude, 0.0, out=magnitude)
+    return np.copysign(magnitude, values, out=out)
 
 
 def lipschitz_estimate(dm: DesignMatrix) -> float:
@@ -79,18 +88,20 @@ def lasso_objective(dm: DesignMatrix, y, coef, lam: float) -> float:
     return float(resid @ resid) / (2 * dm.m) + lam * float(np.sum(np.abs(coef)))
 
 
-def _objective_and_gap(x, gx, b, yy, lam):
-    """Lasso objective of x and its relative duality gap, from gx = G'G x / m.
+def _objective_and_gap(x, gx, l1, b, yy, lam, scratch):
+    """Lasso objective of x and its relative duality gap, from gx = G'G x / m and l1 = ||x||_1.
 
     With b = G'y/m and yy = y'y/m, the mean squared residual is
     yy - 2 b'x + x'gx and G'(y - Gx)/m is b - gx.  The dual point is the
     residual rescaled so that ||G' theta||_inf <= m lam (Fercoq, Gramfort
     & Salmon 2015); the gap is primal minus dual over primal.
+    ``scratch`` is an n-vector the computation may overwrite.
     """
     bx = float(b @ x)
     mean_sq_resid = yy - 2.0 * bx + float(x @ gx)
-    primal = 0.5 * mean_sq_resid + lam * float(np.abs(x).sum())
-    top = float(np.abs(b - gx).max())
+    primal = 0.5 * mean_sq_resid + lam * l1
+    np.subtract(b, gx, out=scratch)
+    top = float(np.abs(scratch, out=scratch).max())
     scale = min(1.0, lam / top) if top > 0 else 1.0
     dual = scale * (yy - bx) - 0.5 * scale * scale * mean_sq_resid
     return primal, (primal - dual) / primal if primal > 0 else 0.0
@@ -109,6 +120,7 @@ def fit_fista(
     with the momentum's product taken by linearity.  Stops as
     ``converged`` once the relative duality gap of the accepted iterate
     is at most tol, else as ``max_iter``; the model carries that gap.
+    The loop works in preallocated vectors.
     """
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -121,23 +133,36 @@ def fit_fista(
     lip = lipschitz_estimate(dm)
     step_threshold = lam / lip
 
-    x = gx = momentum = g_momentum = np.zeros(dm.n)
-    obj, gap = _objective_and_gap(x, gx, b, yy, lam)
+    n = dm.n
+    x, gx, momentum, g_momentum = (np.zeros(n) for _ in range(4))
+    z, gz, step, magnitude, scratch = (np.empty(n) for _ in range(5))
+    obj, gap = _objective_and_gap(x, gx, 0.0, b, yy, lam, scratch)
     t = 1.0
     termination = MAX_ITER
     for used in range(1, max_iter + 1):
-        z = _soft_threshold_vec(momentum - (g_momentum - b) / lip, step_threshold)
-        gz = gram @ z
-        obj_z, gap_z = _objective_and_gap(z, gz, b, yy, lam)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        if obj_z <= obj:
-            x_next, gx_next, obj, gap = z, gz, obj_z, gap_z
-        else:
-            x_next, gx_next = x, gx
-        a, c = t / t_next, (t - 1.0) / t_next
-        momentum = x_next + a * (z - x_next) + c * (x_next - x)
-        g_momentum = gx_next + a * (gz - gx_next) + c * (gx_next - gx)
-        x, gx, t = x_next, gx_next, t_next
+        # z = soft-threshold of momentum - (g_momentum - b) / lip
+        np.subtract(g_momentum, b, out=step)
+        step /= lip
+        np.subtract(momentum, step, out=step)
+        _soft_threshold_vec(step, step_threshold, z, magnitude)
+        np.matmul(gram, z, out=gz)
+        obj_z, gap_z = _objective_and_gap(z, gz, float(magnitude.sum()), b, yy, lam, scratch)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        # momentum = x' + a (z - x') + c (x' - x) for the next iterate x',
+        # which is z + c (z - x) when z is accepted and x + a (z - x) when not
+        accepted = obj_z <= obj
+        weight = (t - 1.0) / t_next if accepted else t / t_next
+        np.subtract(z, x, out=momentum)
+        momentum *= weight
+        momentum += z if accepted else x
+        np.subtract(gz, gx, out=g_momentum)
+        g_momentum *= weight
+        g_momentum += gz if accepted else gx
+        if accepted:
+            # z's vectors become the iterate's, and x's are free for the next z
+            x, z, gx, gz = z, x, gz, gx
+            obj, gap = obj_z, gap_z
+        t = t_next
         if gap <= tol:
             termination = CONVERGED
             break

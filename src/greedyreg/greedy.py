@@ -25,6 +25,19 @@ Elad 2008).  After a successful append the fit resets the pool, with
 the scan of the new residual if another fit computed one already.
 Picks from a pool equal those of a fresh scan bit for bit: sorting is
 stable, and a "first" scan reads the same block products.
+
+Past the numerical rank of the design a residual stalls: column after
+column is degenerate and leaves it unchanged.  So after a degenerate
+skip the fit screens the next block of the pool's order with one
+batched product (linalg.clearly_degenerate), and the pool flags the
+columns found clearly inside the span; the fit skips a flagged atom
+without appending it.  Each further skip of the same residual screens a
+block twice as wide, so an isolated skip costs about one more append's
+work; the flags go with the residual on reset.  A column is flagged
+only where its append would certainly fail, so every pick, skip and
+append is what it would be without the screen.  Only ordered pools
+screen: a "first" pick exceeds delta, and a degenerate column, inside
+the span that the residual is orthogonal to, almost never does.
 """
 
 from dataclasses import dataclass
@@ -44,6 +57,11 @@ _RANK = {"max": 1, "max2": 2, "max3": 3}
 # two-core VM took about 8 ms, against 0.1 ms for a 256-atom block.
 _FIRST_BLOCK = 16
 _SCAN_BLOCK = 256
+
+# Screens of a stalled residual: the first is _SCREEN_FIRST candidates
+# wide and each next one twice the last, up to _SCAN_BLOCK, which also
+# bounds the temporaries of the batched product to a few m-by-256 arrays.
+_SCREEN_FIRST = 8
 
 
 class ZeroResidual(ArithmeticError):
@@ -128,7 +146,9 @@ class CandidatePool:
     selection fills it; ``resume`` is the first index the next "first"
     scan may return.  ``scanned`` counts the correlations this pool
     computed over its lifetime, through every reset; those it read from
-    a scan filled elsewhere are not counted.
+    a scan filled elsewhere are not counted.  The leading ``screened``
+    entries of ``order`` have been screened, and ``_flags`` marks the
+    atoms a screen found clearly degenerate (None before any screen).
     """
 
     def __init__(self, scan=None):
@@ -140,13 +160,61 @@ class CandidatePool:
         self.scan = scan
         self.order = None
         self.resume = 0
+        self.screened = 0
+        self._flags = None
+        self._width = _SCREEN_FIRST
 
     def skip(self, idx: int):
         """Drop atom ``idx``, which the fit could not use; the residual is unchanged."""
-        if self.order is None:
+        order = self.order
+        if order is None:
             self.resume = idx + 1
+        elif order[0] == idx:
+            self.order = order[1:]
+            self.screened = max(self.screened - 1, 0)
         else:
-            self.order = self.order[self.order != idx]
+            keep = order != idx
+            self.screened -= not keep[: self.screened].all()
+            self.order = order[keep]
+
+    def screen(self, degenerate):
+        """Screen the next block of the order; call after a degenerate skip.
+
+        ``degenerate(atoms)`` returns a boolean array: which of ``atoms``
+        are clearly degenerate.  Each call screens a block twice as wide
+        as the one before, up to _SCAN_BLOCK.
+        """
+        if self.order is None:
+            return
+        block = self.order[self.screened : self.screened + self._width]
+        if block.size == 0:
+            return
+        if self._flags is None:
+            self._flags = np.zeros(self.scan.values.shape[0], dtype=bool)
+        self._flags[block] = degenerate(block)
+        self.screened += block.size
+        self._width = min(2 * self._width, _SCAN_BLOCK)
+
+    def flagged(self, idx: int) -> bool:
+        """Whether a screen found atom ``idx`` clearly degenerate."""
+        return self._flags is not None and bool(self._flags[idx])
+
+    def pop_flagged(self, delta) -> np.ndarray:
+        """Drop and return the flagged atoms that lead the order, as many skips would.
+
+        The run stops before the first atom that is not flagged or, when
+        ``delta`` is not None, that does not correlate above it.
+        """
+        if self._flags is None:
+            return np.zeros(0, dtype=int)
+        head = self.order[: self.screened]
+        go_on = self._flags[head]
+        if delta is not None:
+            go_on &= self.scan.values[head] > delta
+        run = head if go_on.all() else head[: int(go_on.argmin())]
+        self.order = self.order[run.size :]
+        self.screened -= run.size
+        return run
 
 
 def select_atom(

@@ -77,3 +77,44 @@ def forward_error(x, exact):
     exact = np.asarray(exact, dtype=np.longdouble)
     diff = np.asarray(x, dtype=np.longdouble) - exact
     return float(np.abs(diff).max() / np.abs(exact).max())
+
+
+def fista_reference(gram, b, yy, lip, lam, max_iter, tol):
+    """The monotone FISTA loop as first written, one new vector per operation.
+
+    Takes the Gram matrix G'G/m, b = G'y/m, yy = y'y/m and the step's
+    Lipschitz constant.  Returns the accepted iterate, the iterations
+    used, whether the relative duality gap reached tol, and that gap.
+    """
+
+    def shrink(values, t):
+        return np.sign(values) * np.maximum(np.abs(values) - t, 0.0)
+
+    def objective_and_gap(x, gx):
+        bx = float(b @ x)
+        mean_sq_resid = yy - 2.0 * bx + float(x @ gx)
+        primal = 0.5 * mean_sq_resid + lam * float(np.abs(x).sum())
+        top = float(np.abs(b - gx).max())
+        scale = min(1.0, lam / top) if top > 0 else 1.0
+        dual = scale * (yy - bx) - 0.5 * scale * scale * mean_sq_resid
+        return primal, (primal - dual) / primal if primal > 0 else 0.0
+
+    x = gx = momentum = g_momentum = np.zeros(gram.shape[0])
+    obj, gap = objective_and_gap(x, gx)
+    t = 1.0
+    for used in range(1, max_iter + 1):
+        z = shrink(momentum - (g_momentum - b) / lip, lam / lip)
+        gz = gram @ z
+        obj_z, gap_z = objective_and_gap(z, gz)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        if obj_z <= obj:
+            x_next, gx_next, obj, gap = z, gz, obj_z, gap_z
+        else:
+            x_next, gx_next = x, gx
+        a, c = t / t_next, (t - 1.0) / t_next
+        momentum = x_next + a * (z - x_next) + c * (x_next - x)
+        g_momentum = gx_next + a * (gz - gx_next) + c * (gx_next - gx)
+        x, gx, t = x_next, gx_next, t_next
+        if gap <= tol:
+            return x, used, True, gap
+    return x, max_iter, False, gap

@@ -35,7 +35,13 @@ from greedyreg.dictionary import (
     normalize_columns,
 )
 from greedyreg.greedy import Criterion, correlation, select_atom
-from greedyreg.linalg import DegenerateColumn, ProjectionState, empirical_norm, project_append
+from greedyreg.linalg import (
+    DEGENERATE_TOL,
+    DegenerateColumn,
+    ProjectionState,
+    empirical_norm,
+    project_append,
+)
 
 
 def _unit_design(columns):
@@ -458,6 +464,155 @@ class TestFitTree:
         other = DesignMatrix(dm.columns.copy(), dm.column_norms, normalized=True)
         with pytest.raises(ValueError, match="another design or target"):
             fit_delta_togl(other, y, 0.1, tree=tree)
+
+
+def _counted_appends(monkeypatch):
+    """Record each project_append the fits make: True if it appended, False if it raised."""
+    calls = []
+    real_append = algorithms.project_append
+
+    def append(state, column):
+        try:
+            real_append(state, column)
+        except DegenerateColumn:
+            calls.append(False)
+            raise
+        calls.append(True)
+        return state
+
+    monkeypatch.setattr(algorithms, "project_append", append)
+    return calls
+
+
+def _recorded_screens(monkeypatch):
+    """Record each screened block: its atoms and which of them were flagged."""
+    screens = []
+    real_screen = algorithms._Walk._degenerate
+
+    def screen(walk, atoms):
+        flags = real_screen(walk, atoms)
+        screens.append((atoms.tolist(), flags.tolist()))
+        return flags
+
+    monkeypatch.setattr(algorithms._Walk, "_degenerate", screen)
+    return screens
+
+
+class TestDegenerateScreen:
+    """After a degenerate skip a fit screens the next candidates in one
+    product and skips those clearly inside the span without appending;
+    every pick, skip and append stays what it was."""
+
+    @pytest.fixture(scope="class")
+    def low_rank(self):
+        return _low_rank_design()
+
+    @pytest.mark.parametrize("kind", ["max", "max2", "max3", "rand"])
+    def test_screened_fit_matches_fresh_scan(self, low_rank, kind, monkeypatch):
+        dm, y = low_rank
+        appends = _counted_appends(monkeypatch)
+        screens = _recorded_screens(monkeypatch)
+        trace = _fit_projection(dm, y, Criterion(kind), dm.n, None, np.random.default_rng(7))
+        expected = _fresh_scan_fit(dm, y, Criterion(kind), dm.n, None, np.random.default_rng(7))
+        assert _trace_facts(trace) == expected
+        # the screen fired: most skips made no append
+        flagged = sum(sum(flags) for _, flags in screens)
+        assert appends.count(True) == trace.k_fitted
+        assert len(appends) + flagged >= trace.iterations
+        assert 4 * appends.count(False) < trace.degenerate_skips
+
+    def test_near_tolerance_columns_take_the_exact_route(self, monkeypatch):
+        m = 40
+        q, _ = np.linalg.qr(np.random.default_rng(14).standard_normal((m, 6)))
+        u = q * np.sqrt(m)
+        inside = u[:, :2] @ np.random.default_rng(15).standard_normal((2, 10))
+        near = np.column_stack([
+            u[:, 0] + 0.7 * DEGENERATE_TOL * u[:, 4], u[:, 1] + 1.3 * DEGENERATE_TOL * u[:, 5]
+        ])
+        dm = DesignMatrix.from_columns(np.column_stack([u[:, :2], inside, near]))
+        y = 3.0 * u[:, 0] + 2.0 * u[:, 1] + u[:, 2]
+        tried, appended = [], []
+        real_append = algorithms.project_append
+
+        def append(state, column):
+            idx = int(np.flatnonzero((dm.columns == column[:, None]).all(axis=0))[0])
+            tried.append(idx)
+            real_append(state, column)
+            appended.append(idx)
+            return state
+
+        monkeypatch.setattr(algorithms, "project_append", append)
+        screens = _recorded_screens(monkeypatch)
+        trace = fit_ogl(dm, y, Criterion("max"), dm.n)
+        assert trace.termination_reason == DICTIONARY_EXHAUSTED
+        # 0.7 tol: screened, not flagged, tried by project_append and skipped
+        seen = {atom: flag for atoms, flags in screens for atom, flag in zip(atoms, flags)}
+        assert seen[12] is False
+        assert 12 in tried and 12 not in appended and 12 not in trace.selected
+        # 1.3 tol: appended
+        assert 13 in trace.selected and 13 in appended
+        assert any(seen.get(atom) for atom in range(2, 12))
+
+    def test_cut_stops_inside_a_screened_run(self, low_rank, monkeypatch):
+        dm, y = low_rank
+        appends = _counted_appends(monkeypatch)
+        path = MaxPath(dm, y)
+        attempts_at_append = []
+        real_take = path._take
+
+        def take():
+            before = len(appends)
+            real_take()
+            if len(appends) > before:
+                attempts_at_append.append(path._walk.attempts)
+
+        monkeypatch.setattr(path, "_take", take)
+        fit_ogl(dm, y, Criterion("max"), dm.n, None, path)
+        tried = set(attempts_at_append)  # attempt numbers (1-based) that called project_append
+        tops = path._tops
+        # a pick inside a run of screened skips, below the one before it
+        j = next(
+            j for j in range(1, len(tops) - 1)
+            if not {j, j + 1, j + 2} & tried and tops[j - 1] > tops[j] > 0
+        )
+        delta = tops[j]
+        alone = fit_delta_togl(dm, y, delta, "max")
+        appends.clear()
+        fresh = MaxPath(dm, y)
+        cut = fit_delta_togl(dm, y, delta, "max", None, fresh)
+        assert _all_fields(cut) == _all_fields(alone)
+        assert cut.termination_reason == NO_ACTIVE_ATOM and cut.iterations == j
+        # the path stopped at the pick: no attempt past it
+        assert fresh._walk.attempts == j and len(fresh._tops) == j + 1
+        assert len(appends) == len([a for a in attempts_at_append if a <= j])
+
+    def test_one_duplicate_in_a_full_rank_design_screens_one_block(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        g = rng.standard_normal((60, 30))
+        dm = _unit_design(np.column_stack([g, g[:, 4]]))
+        y = rng.standard_normal(60)
+        appends = _counted_appends(monkeypatch)
+        screens = _recorded_screens(monkeypatch)
+        trace = _fit_projection(dm, y, Criterion("rand"), dm.n, None, np.random.default_rng(3))
+        assert trace.k_fitted == 30 and trace.degenerate_skips == 1
+        assert len(appends) == 31
+        assert len(screens) == 1 and len(screens[0][0]) <= 8 and not any(screens[0][1])
+
+    def test_sinc_cell_appends_kept_atoms_and_fallbacks(self, monkeypatch):
+        # a sinc cell as the benchmark builds it, smaller: numerical rank about 25
+        rng = np.random.default_rng(1)
+        train, _ = gen_sinc(300, 10, 0.1, rng)
+        spec = build_rbf_uniform(600, -np.pi, np.pi, 1.0, rng)
+        dm = normalize_columns(evaluate_design(spec, train.inputs))
+        y = train.targets
+        expected = _fresh_scan_fit(dm, y, Criterion("max"), 100, None, None)
+        appends = _counted_appends(monkeypatch)
+        path = MaxPath(dm, y)
+        trace = fit_ogl(dm, y, Criterion("max"), 100, None, path)
+        assert _trace_facts(trace) == expected
+        fallbacks = appends.count(False)
+        assert len(appends) == trace.k_fitted + fallbacks
+        assert trace.degenerate_skips > 500 and 20 * fallbacks < trace.degenerate_skips
 
 
 def _full_rank_design():

@@ -15,6 +15,8 @@ from greedyreg.baselines import (
     lipschitz_estimate,
 )
 from greedyreg.core import CONVERGED, FIXED_K, MAX_ITER, DesignMatrix
+from greedyreg.data import gen_sinc
+from greedyreg.dictionary import build_rbf_uniform, evaluate_design, normalize_columns
 from greedyreg.linalg import cholesky_solve, empirical_norm
 
 
@@ -26,7 +28,7 @@ def _random_design(rng, m, n):
     return _design(rng.standard_normal((m, n)))
 
 
-from oracles import coordinate_descent_lasso
+from oracles import coordinate_descent_lasso, fista_reference
 
 
 def _count_builds(monkeypatch, name):
@@ -213,6 +215,32 @@ class TestFista:
             model = fit_fista(dm, y, lam, max_iter=k, tol=0.0)
             objectives.append(lasso_objective(dm, y, model.coefficients, lam))
         assert np.all(np.diff(objectives) <= 1e-10)
+
+    def test_loop_matches_reference_bit_for_bit(self):
+        # random designs, and a sinc RBF design whose fits end at max_iter
+        cases = []
+        for trial in range(40):
+            r = np.random.default_rng(trial + 300)
+            m, n = int(r.integers(10, 60)), int(r.integers(3, 40))
+            lam, tol = float(10.0 ** r.uniform(-4, -0.5)), float(10.0 ** r.uniform(-12, -3))
+            cases.append((_random_design(r, m, n), r.standard_normal(m), lam, 400, tol))
+        rng = np.random.default_rng(1)
+        train, _ = gen_sinc(200, 10, 0.5, rng)
+        spec = build_rbf_uniform(60, -np.pi, np.pi, 1.0, rng)
+        dm = normalize_columns(evaluate_design(spec, train.inputs))
+        cases += [(dm, train.targets, lam, 1500, 1e-6) for lam in (1e-5, 1e-2)]
+        terminations = set()
+        for dm, y, lam, max_iter, tol in cases:
+            model = fit_fista(dm, y, lam, max_iter=max_iter, tol=tol)
+            b, yy = dm.columns.T @ y / dm.m, float(y @ y) / dm.m
+            x, used, converged, gap = fista_reference(
+                dm.gram, b, yy, dm.lipschitz, lam, max_iter, tol
+            )
+            assert np.array_equal(model.coefficients, x)
+            assert model.iterations_used == used and model.rel_gap == gap
+            assert model.termination == (CONVERGED if converged else MAX_ITER)
+            terminations.add(model.termination)
+        assert terminations == {CONVERGED, MAX_ITER}
 
     def test_reports_budget_exhaustion(self):
         rng = np.random.default_rng(10)

@@ -181,6 +181,40 @@ class TestSelectAtom:
         assert select_atom(dm, r, rn, Criterion("first", 0.5), excluded, pool=pool) == 590
         assert pool.scanned == 600
 
+    def test_screened_pool_flags_blocks_and_pops_runs(self):
+        # 40 atoms, correlations decreasing with the index: the order is 0..39
+        cols = np.tile(np.linspace(2.0, 1.0, 40), (2, 1))
+        cols[1] = 0.0
+        dm = _design(cols)
+        r = np.array([1.0, 0.0])
+        excluded = np.zeros(40, dtype=bool)
+        pool = CandidatePool()
+        assert select_atom(dm, r, empirical_norm(r), Criterion("max"), excluded, pool=pool) == 0
+        blocks = []
+
+        def degenerate(atoms):  # every atom but 5 and 20 is clearly degenerate
+            blocks.append(atoms.tolist())
+            return ~np.isin(atoms, [5, 20])
+
+        pool.skip(0)  # the head leaves in O(1): the order is a view past it
+        assert pool.order.base is not None and pool.order[0] == 1
+        pool.screen(degenerate)
+        assert blocks == [list(range(1, 9))] and pool.screened == 8
+        assert pool.flagged(1) and not pool.flagged(5) and not pool.flagged(9)
+        assert pool.pop_flagged(None).tolist() == [1, 2, 3, 4]  # stops before 5
+        assert pool.screened == 4 and pool.order[0] == 5
+        pool.skip(7)  # a screened atom off the head
+        assert pool.screened == 3
+        pool.skip(5)
+        pool.screen(degenerate)  # twice as wide
+        assert blocks[1] == list(range(9, 25)) and pool.screened == 2 + 16
+        # a run stops before the first atom at or below delta
+        values = pool.scan.values
+        assert pool.pop_flagged(values[8]).tolist() == [6]
+        assert pool.pop_flagged(None).tolist() == list(range(8, 20))
+        pool.reset()
+        assert not pool.flagged(9) and pool.pop_flagged(None).size == 0
+
     def test_dead_columns_never_selected(self):
         cols = np.column_stack([np.zeros(3), np.ones(3)])
         dm = _design(cols)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,15 @@ from greedyreg.algorithms import fit_ogl
 from greedyreg.core import LengthMismatch
 from greedyreg.greedy import Criterion
 from greedyreg.linalg import (
+    DEGENERATE_TOL,
+    SCREEN_RTOL,
     DegenerateColumn,
     NonPositiveBound,
     ProjectionState,
+    clearly_degenerate,
     empirical_inner,
     empirical_norm,
+    orthogonal_norms,
     project_append,
     replay_append,
     rmse,
@@ -133,6 +139,71 @@ class TestProjectAppend:
             project_append(state, 2.0 * col)
         assert state.k == k_before
         assert state.residual_norm == res_before
+
+
+def _orthonormal(m, k, seed):
+    """k columns of empirical norm 1, mutually orthogonal under the empirical inner product."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))
+    return q * np.sqrt(m)
+
+
+class TestBatchedScreen:
+    def test_norms_match_project_append(self):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((50, 12))
+        state = ProjectionState(rng.standard_normal(50))
+        for j in range(6):
+            project_append(state, g[:, j])
+        # inside the span, near it, and independent of it
+        columns = np.column_stack([g[:, :6] @ rng.standard_normal((6, 4)), g[:, 6:]])
+        columns[:, 1] += 1e-9 * g[:, 7]
+        batched = orthogonal_norms(state, columns)
+        for j in range(columns.shape[1]):
+            alone = copy.deepcopy(state)
+            try:
+                project_append(alone, columns[:, j])
+            except DegenerateColumn:
+                assert batched[j] < DEGENERATE_TOL
+                continue
+            # project_append leaves the column's orthogonal norm on the factor's diagonal
+            assert abs(batched[j] - alone._r[6, 6]) <= 1e-14 * empirical_norm(columns[:, j])
+
+    def test_flags_only_columns_clearly_inside_the_span(self):
+        u = _orthonormal(40, 6, 12)
+        state = ProjectionState(3.0 * u[:, 0] + 2.0 * u[:, 1] + u[:, 2])
+        project_append(state, u[:, 0])
+        project_append(state, 5.0 * u[:, 1])
+        # orthogonal norms 0, 0.3, 0.7 and 1.3 times the tolerance, and 1
+        off = np.array([0.0, 0.3, 0.7, 1.3, 1e10]) * DEGENERATE_TOL
+        columns = 2.0 * u[:, [0]] - u[:, [1]] + u[:, [4]] * off
+        assert clearly_degenerate(state, columns).tolist() == [True, True, False, False, False]
+        for j, degenerate in enumerate([True, True, True, False, False]):
+            alone = copy.deepcopy(state)
+            if degenerate:
+                with pytest.raises(DegenerateColumn):
+                    project_append(alone, columns[:, j])
+            else:
+                project_append(alone, columns[:, j])
+
+    def test_margin_scales_with_the_column(self):
+        # columns along the basis: each lies inside the span, but past a
+        # length of tol / (2 * SCREEN_RTOL) the margin exceeds tol/2, so
+        # the screen leaves the column to project_append
+        u = _orthonormal(30, 3, 13)
+        state = ProjectionState(u[:, 2])
+        project_append(state, u[:, 0])
+        lengths = np.array([1.0, 0.2, 2.0]) * DEGENERATE_TOL / (2 * SCREEN_RTOL)
+        columns = u[:, [0]] * lengths
+        assert clearly_degenerate(state, columns).tolist() == [False, True, False]
+        with pytest.raises(DegenerateColumn):
+            project_append(state, columns[:, 2])
+
+    def test_empty_basis_and_shape_check(self):
+        state = ProjectionState(np.ones(4))
+        columns = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_allclose(orthogonal_norms(state, columns), [1.0, 0.0])
+        with pytest.raises(LengthMismatch):
+            orthogonal_norms(state, np.ones(4))
 
 
 class TestReplayAppend:
