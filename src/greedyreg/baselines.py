@@ -47,10 +47,14 @@ class DenseModel:
         return int(np.sum(np.abs(self.coefficients) > tol))
 
 
+def _check_lam(lam: float):
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
 def fit_ridge(dm: DesignMatrix, y, lam: float) -> DenseModel:
     """Closed-form ridge solution via a Cholesky solve of (G'G/m + lam I)."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     y = np.asarray(y, dtype=float)
     gram = dm.gram.copy()
     gram[np.diag_indices_from(gram)] += lam
@@ -122,8 +126,7 @@ def fit_fista(
     is at most tol, else as ``max_iter``; the model carries that gap.
     The loop works in preallocated vectors.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     y = np.asarray(y, dtype=float)

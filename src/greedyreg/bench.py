@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algorithms, baselines
-from .core import FIXED_K, DesignMatrix, FitReport
+from .core import FIXED_K, MAX_ITER, DesignMatrix, FitReport
 from .data import gen_sinc, load_csv, split_half, zscore_fit_apply
 from .dictionary import (
     build_rbf_from_samples,
@@ -170,7 +170,7 @@ def parse_method(text: str) -> MethodSpec:
 _GRID_VALUES = {
     "k_grid": ("integers >= 0", lambda k: k >= 0 and float(k).is_integer()),
     "delta_grid": ("in (0, 1)", lambda delta: 0 < delta < 1),
-    "lambda_grid": ("> 0", lambda lam: lam > 0),
+    "lambda_grid": ("finite and > 0", lambda lam: 0 < lam < np.inf),
 }
 
 
@@ -273,12 +273,13 @@ def _prepare_cell(config, full_dataset, sigma_idx, seed) -> _Cell:
         rmse_scale = zparams.target_std
     start = time.perf_counter()
     dm = evaluate_design(spec, train.inputs)
-    dm_fit = normalize_columns(dm) if config.normalize_atoms else dm
+    if config.normalize_atoms:
+        dm = normalize_columns(dm)  # the raw design is freed here
     test_columns = evaluate_atoms(spec, test.inputs)
     materialize_seconds = time.perf_counter() - start
     y = train.targets
     return _Cell(
-        dm_fit=dm_fit,
+        dm_fit=dm,
         test_columns=test_columns,
         y=y,
         y_norm=empirical_norm(y),
@@ -398,6 +399,28 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
     return rows
 
 
+def _sweep_cell(config, full_dataset, grids, sigma_idx, sigma, seed) -> list:
+    """The keyed rows of every method on one (sigma, seed) cell.
+
+    The cell and its runs are locals, so its matrices are freed when it
+    returns, before the sweep prepares the next cell.
+    """
+    cell = _prepare_cell(config, full_dataset, sigma_idx, seed)
+    # The max fits of a cell read its path: run them first, then free the path.
+    methods = config.methods
+    order = sorted(range(len(methods)), key=lambda i: not methods[i].reads_path)
+    keyed = []
+    for method_idx in order:
+        method = methods[method_idx]
+        if not method.reads_path:
+            cell.path = None
+        run = _Run(method, cell, sigma, seed)
+        rows = _run_method(run, grids[method_idx], config, sigma_idx, method_idx)
+        for grid_pos, row in enumerate(rows):
+            keyed.append(((method_idx, sigma_idx, grid_pos, seed), row))
+    return keyed
+
+
 def sweep(config: ExperimentConfig) -> list:
     """Run every (method, parameter, seed, sigma) combination.
 
@@ -417,27 +440,21 @@ def sweep(config: ExperimentConfig) -> list:
 
     grids = [_resolve_grid(config, method.grid, n_dict) for method in config.methods]
 
-    # The max fits of a cell read its path: run them first, then free the path.
-    order = sorted(range(len(config.methods)), key=lambda i: not config.methods[i].reads_path)
     keyed = []
     for sigma_idx, sigma in enumerate(sigma_values):
         for seed in config.seeds:
-            cell = _prepare_cell(config, full_dataset, sigma_idx, seed)
-            for method_idx in order:
-                method = config.methods[method_idx]
-                if not method.reads_path:
-                    cell.path = None
-                run = _Run(method, cell, sigma, seed)
-                rows = _run_method(run, grids[method_idx], config, sigma_idx, method_idx)
-                for grid_pos, row in enumerate(rows):
-                    keyed.append(((method_idx, sigma_idx, grid_pos, seed), row))
+            keyed += _sweep_cell(config, full_dataset, grids, sigma_idx, sigma, seed)
     keyed.sort(key=lambda pair: pair[0])
     return [row for _, row in keyed]
 
 
 @dataclass(frozen=True)
 class OracleRow:
-    """Grid point with the best mean test RMSE for one (method, sigma)."""
+    """Grid point with the best mean test RMSE for one (method, sigma).
+
+    ``max_iter_rows`` counts its rows whose iterative fit ran out of
+    iterations, so that they are no certified solution.
+    """
 
     method: str
     sigma: float | None
@@ -447,6 +464,7 @@ class OracleRow:
     mean_train_rmse: float
     mean_sparsity: float
     mean_seconds: float
+    max_iter_rows: int = 0
 
 
 def _mean_se(values):
@@ -480,6 +498,7 @@ def oracle_select(rows) -> list:
             mean_train_rmse=_mean_se([r.train_rmse for r in cell_rows])[0],
             mean_sparsity=float(np.mean([r.sparsity for r in cell_rows])),
             mean_seconds=float(np.mean([r.seconds for r in cell_rows])),
+            max_iter_rows=sum(r.termination == MAX_ITER for r in cell_rows),
         )
         key = (method, sigma)
         order = (mean_test, param, summary.mean_sparsity)
@@ -552,11 +571,18 @@ def report_row_from_line(line: str) -> FitReport:
 
 
 def _aggregate_lines(rows, timing: bool) -> list:
+    """The aggregate block; a pick with max_iter rows is also named on stderr."""
     lines = [
         "#aggregate,method,sigma,param,test_rmse(se),train_rmse,sparsity,seconds"
     ]
     for summary in oracle_select(rows):
         sigma_text = "" if summary.sigma is None else f"{summary.sigma:g}"
+        if summary.max_iter_rows:
+            print(
+                f"uncertified: {summary.method} sigma={sigma_text} param={summary.parameter:g}: "
+                f"{summary.max_iter_rows} of its rows ended {MAX_ITER}",
+                file=sys.stderr,
+            )
         seconds = summary.mean_seconds if timing else 0.0
         lines.append(
             "#aggregate,{},{},{:g},{:.4f}({:.4f}),{:.4f},{:.1f},{:.4f}".format(

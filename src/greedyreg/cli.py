@@ -44,7 +44,7 @@ def _parse_log_grid(text):
 
     lo_text, hi_text, count_text = text.split(":")
     lo, hi, count = float(lo_text), float(hi_text), int(count_text)
-    if not (0 < lo < hi) or count < 1:
+    if not (0 < lo < hi < np.inf) or count < 1:
         raise ValueError(f"bad log grid {text!r}")
     return list(np.geomspace(lo, hi, count))
 
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_report(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

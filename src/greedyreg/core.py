@@ -39,7 +39,21 @@ class EmptyData(ValueError):
 
 
 def _frozen_array(values, dtype=float, ndim=None):
-    arr = np.array(values, dtype=dtype)
+    """A read-only array of ``values``, copied unless it is handed over.
+
+    An array that is already read-only, owns its data and has the dtype
+    is taken as it is: its maker has frozen it to hand it over, as
+    evaluate_design and normalize_columns do with the arrays they make.
+    Anything else, a writeable caller array in particular, is copied, so
+    a later write to it does not reach the frozen one.
+    """
+    handed_over = (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    )
+    arr = values if handed_over else np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -119,8 +133,10 @@ class DesignMatrix:
 
     @classmethod
     def from_columns(cls, columns) -> "DesignMatrix":
-        columns = np.asarray(columns, dtype=float)
+        """The raw design of ``columns``, which is copied unless it is handed over (_frozen_array)."""
+        columns = _frozen_array(columns, ndim=2)
         norms = np.sqrt(np.mean(columns**2, axis=0))
+        norms.setflags(write=False)
         return cls(columns, norms, normalized=False)
 
     @property

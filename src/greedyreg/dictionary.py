@@ -6,6 +6,7 @@ width d_max / sqrt(2n) (real data).  Every atom is exp(-||x - t||^2 /
 eta^2), so design entries always lie in (0, 1].
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,9 @@ from .core import DesignMatrix
 
 # Center pairs per block of the d_max computation.
 _PAIR_BLOCK = 2**16
+# Entries per row block of evaluate_atoms' squared-norm sums: a small
+# temporary instead of one of the design's size.
+_ROW_BLOCK = 2**15
 
 
 class BadRange(ValueError):
@@ -41,8 +45,15 @@ class RbfSpec:
             raise ValueError("centers must be finite")
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-        if not (self.eta > 0 and np.isfinite(self.eta)):
-            raise ValueError(f"eta must be a positive real, got {self.eta}")
+        try:
+            eta_sq = self.eta**2  # the divisor of evaluate_atoms
+        except OverflowError:
+            eta_sq = math.inf
+        if not (self.eta > 0 and 0 < eta_sq < math.inf):
+            raise ValueError(
+                f"eta must be a positive real whose square is a positive finite float, "
+                f"got {self.eta}"
+            )
 
     @property
     def n(self) -> int:
@@ -109,24 +120,40 @@ def evaluate_atoms(spec: RbfSpec, inputs, indices=None) -> np.ndarray:
     """Evaluate atoms at the given inputs; entry (i, j) in (0, 1].
 
     ``indices`` restricts evaluation to a subset of atoms (in that
-    order); None evaluates the whole dictionary.
+    order); None evaluates the whole dictionary.  The result is built
+    in one fresh buffer: the cross term's product, then in place the
+    squared distances ``(|x|^2 + |t|^2) - 2 x.t``, the clip at 0, the
+    negation, the division by eta^2 and the exponential.  These are the
+    IEEE operations of the plain expression, in its order, so every
+    entry has its bits.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs.reshape(-1, 1)
     centers = spec.centers if indices is None else spec.centers[list(indices)]
-    sq = (
-        np.sum(inputs**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * inputs @ centers.T
-    )
-    np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-sq / spec.eta**2)
+    out = 2.0 * inputs @ centers.T
+    input_sq = np.sum(inputs**2, axis=1)
+    center_sq = np.sum(centers**2, axis=1)
+    step = max(1, _ROW_BLOCK // max(1, centers.shape[0]))
+    for start in range(0, out.shape[0], step):
+        rows = out[start : start + step]
+        np.subtract(input_sq[start : start + step, None] + center_sq[None, :], rows, out=rows)
+    np.clip(out, 0.0, None, out=out)
+    np.negative(out, out=out)
+    out /= spec.eta**2
+    np.exp(out, out=out)
+    return out
 
 
 def evaluate_design(spec: RbfSpec, inputs) -> DesignMatrix:
-    """Materialize the raw design matrix of the dictionary on inputs."""
-    return DesignMatrix.from_columns(evaluate_atoms(spec, inputs))
+    """Materialize the raw design matrix of the dictionary on inputs.
+
+    The fresh columns are frozen and handed over, so the design holds
+    the only copy.
+    """
+    columns = evaluate_atoms(spec, inputs)
+    columns.setflags(write=False)
+    return DesignMatrix.from_columns(columns)
 
 
 def normalize_columns(dm: DesignMatrix) -> DesignMatrix:
@@ -134,9 +161,12 @@ def normalize_columns(dm: DesignMatrix) -> DesignMatrix:
 
     The raw norms are retained as scale factors so coefficients can be
     mapped back to raw atoms and predictions are unaffected.  Dead
-    columns are left untouched.  Idempotent.
+    columns are left untouched.  Idempotent.  The scaled columns are a
+    fresh array handed over to the new design.
     """
     if dm.normalized:
         return dm
     scale = np.where(dm.live, dm.column_norms, 1.0)
-    return DesignMatrix(dm.columns / scale, dm.column_norms, normalized=True)
+    columns = dm.columns / scale
+    columns.setflags(write=False)
+    return DesignMatrix(columns, dm.column_norms, normalized=True)

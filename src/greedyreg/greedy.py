@@ -9,9 +9,13 @@ atom above threshold, which is what makes large dictionaries cheap.
 
 The correlations of one residual live in a ResidualScan, filled in
 blocks as far as a scan needs them: a full scan fills it at once, a
-"first" scan block by block until its first hit.  Nothing is computed
-twice for the same residual, and a block is the same product a fresh
-scan of it would make.
+"first" scan block by block from the fit's first unexcluded atom until
+its first hit.  Nothing is computed twice for the same residual.  Every
+block starts at a multiple of 4 and, unless it ends the dictionary, is
+a multiple of 4 wide; on the OpenBLAS this was tested with, the product
+of such a block equals those entries of the full product bit for bit
+(tests/test_greedy.py checks it on the benchmark designs), so a
+correlation does not depend on which scan computed it.
 
 A fit may pass a CandidatePool that it owns.  The pool keeps the
 current residual's scan and what the criterion made of it: the ranked
@@ -24,7 +28,7 @@ instead of scanning again (as in Batch-OMP, Rubinstein, Zibulevsky &
 Elad 2008).  After a successful append the fit resets the pool, with
 the scan of the new residual if another fit computed one already.
 Picks from a pool equal those of a fresh scan bit for bit: sorting is
-stable, and a "first" scan reads the same block products.
+stable, and a "first" scan reads the same correlations.
 
 Past the numerical rank of the design a residual stalls: column after
 column is degenerate and leaves it unchanged.  So after a degenerate
@@ -50,11 +54,12 @@ CRITERION_KINDS = ("max", "max2", "max3", "rand", "first")
 _RANK = {"max": 1, "max2": 2, "max3": 3}
 
 # Blocks of a "first" scan: the first is _FIRST_BLOCK atoms wide and
-# each next one as wide as all before it, up to _SCAN_BLOCK, so an early
-# hit is cheap.  The cap keeps each product small enough that OpenBLAS
-# runs it on the calling thread (for m up to about 1800): a threaded
-# product waits for its worker thread, which in a fresh process on a
-# two-core VM took about 8 ms, against 0.1 ms for a 256-atom block.
+# each next one as wide as all before it in the scan's window, up to
+# _SCAN_BLOCK, so an early hit is cheap; all are multiples of 4.  The
+# cap keeps each product small enough that OpenBLAS runs it on the
+# calling thread (for m up to about 1800): a threaded product waits for
+# its worker thread, which in a fresh process on a two-core VM took
+# about 8 ms, against 0.1 ms for a 256-atom block.
 _FIRST_BLOCK = 16
 _SCAN_BLOCK = 256
 
@@ -110,21 +115,29 @@ def correlation(residual, residual_norm: float, column) -> float:
 class ResidualScan:
     """Correlations of one residual with the atoms, computed as far as scans needed.
 
-    ``values[:upto]`` hold the correlations of atoms 0..upto-1; the rest
-    is not computed yet.
+    ``values[lo:upto]`` hold the correlations of atoms lo..upto-1, the
+    window; the rest is not computed yet.  ``lo`` is a multiple of 4.
     """
 
     def __init__(self, n: int):
         self.values = np.empty(n)
-        self.upto = 0
+        self.lo = self.upto = 0
 
-    def extend(self, dm: DesignMatrix, residual, residual_norm: float, stop: int) -> int:
-        """Compute the correlations of atoms upto..stop-1 in one product; returns their number."""
-        start = self.upto
-        block = dm.columns[:, start:stop]
-        self.values[start:stop] = np.abs(block.T @ residual) / (dm.m * residual_norm)
-        self.upto = stop
-        return stop - start
+    def cover(self, dm: DesignMatrix, residual, residual_norm: float, start: int, stop: int) -> int:
+        """Compute the atoms of start..stop-1 outside the window; returns their number.
+
+        The window must meet or touch the range, and ``start`` be a
+        multiple of 4.  One product computes the part below the window,
+        one the part above it.
+        """
+        computed = 0
+        for lo, hi in ((start, self.lo), (self.upto, stop)):
+            if lo < hi:
+                block = dm.columns[:, lo:hi]
+                self.values[lo:hi] = np.abs(block.T @ residual) / (dm.m * residual_norm)
+                computed += hi - lo
+        self.lo, self.upto = min(self.lo, start), max(self.upto, stop)
+        return computed
 
 
 def _as_mask(excluded, n: int) -> np.ndarray:
@@ -249,8 +262,7 @@ def select_atom(
         return _first_above(dm, residual, residual_norm, criterion.delta, mask, pool)
 
     if pool.order is None:
-        if pool.scan.upto < dm.n:
-            pool.scanned += pool.scan.extend(dm, residual, residual_norm, dm.n)
+        pool.scanned += pool.scan.cover(dm, residual, residual_norm, 0, dm.n)
         pool.order = _eligible_order(dm, pool.scan.values, criterion, mask)
     order = pool.order
     if order.size == 0:
@@ -277,13 +289,29 @@ def _eligible_order(dm, corr, criterion, mask):
     return candidates[np.argsort(-corr[candidates], kind="stable")]
 
 
+def _first_unexcluded(mask, start: int) -> int:
+    """The first atom from ``start`` on that ``mask`` does not exclude, or its size if none."""
+    rest = mask[start:]
+    return mask.size if rest.all() else start + int(rest.argmin())
+
+
 def _first_above(dm, residual, residual_norm, delta, mask, pool):
     scan = pool.scan
     start = pool.resume  # never past scan.upto: a skipped atom was read from the scan
+    if scan.lo == scan.upto or start < scan.lo:
+        # A fresh residual, or a window that a fit sharing it opened further
+        # on: scan from this fit's first unexcluded atom, since no atom
+        # before it can be picked (in an orthogonal fit, most are selected).
+        start = _first_unexcluded(mask, start)
+        if scan.lo == scan.upto:
+            scan.lo = scan.upto = start - start % 4
+        elif start < scan.lo:
+            pool.scanned += scan.cover(dm, residual, residual_norm, start - start % 4, scan.lo)
     while start < dm.n:
-        if start == scan.upto:
-            stop = min(start + min(max(start, _FIRST_BLOCK), _SCAN_BLOCK), dm.n)
-            pool.scanned += scan.extend(dm, residual, residual_norm, stop)
+        while start >= scan.upto:
+            width = min(max(scan.upto - scan.lo, _FIRST_BLOCK), _SCAN_BLOCK)
+            stop = min(scan.upto + width, dm.n)
+            pool.scanned += scan.cover(dm, residual, residual_norm, scan.upto, stop)
         stop = scan.upto
         above = scan.values[start:stop] > delta
         above &= dm.live[start:stop]

@@ -118,3 +118,24 @@ def fista_reference(gram, b, yy, lip, lam, max_iter, tol):
         if gap <= tol:
             return x, used, True, gap
     return x, max_iter, False, gap
+
+
+def rbf_atoms(spec, inputs, indices=None):
+    """Atoms at the inputs by the plain expression, one temporary per operation."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1:
+        inputs = inputs.reshape(-1, 1)
+    centers = spec.centers if indices is None else spec.centers[list(indices)]
+    sq = (
+        np.sum(inputs**2, axis=1)[:, None]
+        + np.sum(centers**2, axis=1)[None, :]
+        - 2.0 * inputs @ centers.T
+    )
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-sq / spec.eta**2)
+
+
+def normalized_design(columns):
+    """(raw column norms, columns scaled to unit empirical norm; dead ones untouched)."""
+    norms = np.sqrt(np.mean(columns**2, axis=0))
+    return norms, columns / np.where(norms >= 1e-12, norms, 1.0)

@@ -112,6 +112,12 @@ class TestRidge:
         with pytest.raises(ValueError):
             fit_ridge(dm, np.ones(3), 0.0)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_rejects_nonfinite_lambda(self, lam):
+        dm = _design(np.eye(3))
+        with pytest.raises(ValueError):
+            fit_ridge(dm, np.ones(3), lam)
+
     def test_singular_gram_raises_factorization_failure(self):
         # duplicate columns: lam = 1e-300 vanishes beside the Gram's entries
         dm = _design(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
@@ -283,6 +289,9 @@ class TestFista:
         dm = _design(np.eye(3))
         with pytest.raises(ValueError):
             fit_fista(dm, np.ones(3), -1.0)
+        for lam in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                fit_fista(dm, np.ones(3), lam)
         with pytest.raises(ValueError):
             fit_fista(dm, np.ones(3), 0.1, max_iter=0)
 

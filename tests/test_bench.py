@@ -1,5 +1,7 @@
 import dataclasses
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from greedyreg.bench import (
     sweep,
     time_fit,
 )
-from greedyreg.core import FitReport
+from greedyreg.core import CONVERGED, MAX_ITER, FitReport
 
 
 def _tiny_config(**overrides):
@@ -345,6 +347,68 @@ class TestOracleSelect:
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
             oracle_select([])
+
+
+class TestUncertifiedPicks:
+    """An aggregate pick whose rows include max_iter fits is named on stderr, once."""
+
+    @staticmethod
+    def _rows(pick_termination):
+        rows = []
+        for sigma, pick_rmse in ((0.1, 0.1), (1.0, 0.9)):
+            for seed in (0, 1):
+                # at sigma=0.1 the small lambda wins, at sigma=1 the large one
+                rows.append(FitReport("fista", 1e-4, sigma, seed, pick_rmse, 0.1, 9, 10000,
+                                      pick_termination, 0.0))
+                rows.append(FitReport("fista", 1e-2, sigma, seed, 0.5, 0.4, 3, 40, CONVERGED, 0.0))
+                rows.append(FitReport("ridge", 1e-2, sigma, seed, 0.3, 0.2, 40, 40, "fixed_k", 0.0))
+        return rows
+
+    def test_one_line_per_uncertified_pick(self, capsys):
+        render_report(self._rows(MAX_ITER), timing=False)
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["uncertified: fista sigma=0.1 param=0.0001: 2 of its rows ended max_iter"]
+        best = {(s.method, s.sigma): s.max_iter_rows for s in oracle_select(self._rows(MAX_ITER))}
+        assert best == {("fista", 0.1): 2, ("fista", 1.0): 0, ("ridge", 0.1): 0, ("ridge", 1.0): 0}
+
+    def test_report_text_does_not_change(self, capsys):
+        uncertified = render_report(self._rows(MAX_ITER), timing=False)
+        certified = render_report(self._rows(CONVERGED), timing=False)
+        capsys.readouterr()
+        assert uncertified.replace(MAX_ITER, CONVERGED) == certified
+        render_report(self._rows(CONVERGED), timing=False)
+        assert capsys.readouterr().err == ""
+
+
+class TestCellMemory:
+    """One cell's matrices live at a time, each built without design-sized copies."""
+
+    def test_earlier_cells_are_freed_before_the_next_is_prepared(self, monkeypatch):
+        prepare, designs, alive = bench._prepare_cell, [], []
+
+        def watched(*args):
+            alive.append([ref() is not None for ref in designs])
+            cell = prepare(*args)
+            designs.append(weakref.ref(cell.dm_fit))
+            return cell
+
+        monkeypatch.setattr(bench, "_prepare_cell", watched)
+        methods = [parse_method(m) for m in ("ogl:max", "dtogl:max", "dtogl:first", "ridge")]
+        sweep(_tiny_config(methods=methods, seeds=[0, 1], sigmas=[0.1, 1.0]))
+        assert alive == [[], [False], [False] * 2, [False] * 3]
+
+    def test_prepare_cell_peak_within_three_designs(self):
+        cfg = _tiny_config(m_train=400, m_test=400, n=500)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cell = bench._prepare_cell(cfg, None, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        design_bytes = cell.dm_fit.columns.nbytes
+        assert design_bytes == 400 * 500 * 8
+        assert peak <= 3 * design_bytes, peak / design_bytes
 
 
 def test_time_fit_noop_under_a_millisecond():

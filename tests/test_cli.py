@@ -255,6 +255,66 @@ class TestReportCommand:
         assert "error:" in capsys.readouterr().err
 
 
+_SMALL = ["--m-train", "50", "--m-test", "20", "--n", "10"]
+_BOUNDARY_CASES = [
+    # (argv, exit code): a bad number exits 1 with one error line, never a traceback
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--eta", "1e-300"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--eta", "1e300"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--eta", "0"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--eta", "-1"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--eta", "nan"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--eta", "inf"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--lambda-grid", "1e-3:inf:3"], 1),
+    (["fit", "--method", "ridge@inf", *_SMALL], 1),
+    (["fit", "--method", "fista@inf", *_SMALL], 1),
+    (["fit", "--method", "ridge@nan", *_SMALL], 1),
+    (["fit", "--method", "ridge@0", *_SMALL], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge,fista", "--eta", "0.5",
+      "--lambda-grid", "1e-3:1e-1:2", "--no-timing"], 0),
+    (["fit", "--method", "ridge@1e300", *_SMALL], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", _BOUNDARY_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v)
+)
+def test_numeric_boundaries(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    else:
+        assert "nan" not in out.lower()
+
+
+def test_arithmetic_error_is_reported(monkeypatch, capsys):
+    def overflow(config):
+        raise OverflowError("result too large")
+
+    monkeypatch.setattr(cli, "sweep", overflow)
+    assert main(_bench_args("unused.csv")) == 1
+    assert capsys.readouterr().err == "error: result too large\n"
+
+
+def test_report_names_uncertified_pick(tmp_path, capsys):
+    from greedyreg.bench import emit_report
+    from greedyreg.core import FitReport
+
+    rows = [
+        FitReport("fista", lam, 0.1, seed, rmse, 0.1, 5, iters, term, 0.0)
+        for lam, rmse, iters, term in ((1e-4, 0.1, 10000, "max_iter"), (1e-2, 0.3, 40, "converged"))
+        for seed in (0, 1, 2)
+    ]
+    path = tmp_path / "rows.csv"
+    emit_report(rows, path)
+    capsys.readouterr()
+    assert main(["report", "--in", str(path), "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out == path.read_text(encoding="utf-8")
+    assert err == "uncertified: fista sigma=0.1 param=0.0001: 3 of its rows ended max_iter\n"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "greedyreg.cli", "fit", "--method", "ridge@0.01",

@@ -95,3 +95,34 @@ def test_fit_report_round_trip_is_structural():
         seconds=0.01234,
     )
     assert report_row_from_line(report_row_to_line(row)) == row
+
+
+class TestDesignOwnership:
+    """DesignMatrix copies what its caller may still write, and takes what is handed over."""
+
+    def test_writeable_caller_array_is_copied(self):
+        cols = np.array([[1.0, 2.0], [3.0, 4.0]])
+        dm = DesignMatrix.from_columns(cols)
+        cols[0, 0] = 99.0
+        assert dm.columns[0, 0] == 1.0
+        assert not np.shares_memory(cols, dm.columns)
+        assert not dm.columns.flags.writeable
+
+    def test_read_only_owning_array_is_shared(self):
+        cols = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cols.setflags(write=False)
+        dm = DesignMatrix.from_columns(cols)
+        assert dm.columns is cols
+        norms = np.sqrt(np.mean(cols**2, axis=0))
+        norms.setflags(write=False)
+        assert DesignMatrix(cols, norms).column_norms is norms
+
+    def test_read_only_view_and_other_dtype_are_copied(self):
+        base = np.arange(6.0).reshape(2, 3)
+        view = base[:, :2]
+        view.setflags(write=False)
+        assert not np.shares_memory(DesignMatrix.from_columns(view).columns, base)
+        ints = np.arange(4).reshape(2, 2)
+        ints.setflags(write=False)
+        dm = DesignMatrix.from_columns(ints)
+        assert dm.columns.dtype == float and not np.shares_memory(dm.columns, ints)

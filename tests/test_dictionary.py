@@ -13,6 +13,7 @@ from greedyreg.dictionary import (
     normalize_columns,
 )
 from greedyreg.linalg import empirical_norm
+from oracles import normalized_design, rbf_atoms
 
 
 class TestBuildUniform:
@@ -102,6 +103,49 @@ class TestEvaluateDesign:
         spec = RbfSpec(np.array([[1.0, 1.0]]), 2.0)
         dm = evaluate_design(spec, np.array([[0.0, 0.0]]))
         assert dm.columns[0, 0] == pytest.approx(np.exp(-2.0 / 4.0))
+
+
+def _specs_and_inputs():
+    """A uniform d=1 dictionary on sinc inputs and a data-centred d=3 one, with eval inputs."""
+    rng = np.random.default_rng(30)
+    sinc = build_rbf_uniform(300, -np.pi, np.pi, 1.0, rng)
+    x1 = rng.uniform(-np.pi, np.pi, size=(250, 1))
+    x3 = rng.standard_normal((240, 3))
+    data = build_rbf_from_samples(x3[:120])
+    return [(sinc, x1), (data, x3)]
+
+
+class TestMaterializationBits:
+    """The in-place materialization has the bits of the plain expressions."""
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["d1", "d3"])
+    def test_atoms_match_plain_expression(self, case):
+        spec, x = _specs_and_inputs()[case]
+        assert np.array_equal(evaluate_atoms(spec, x), rbf_atoms(spec, x))
+        subset = [spec.n - 1, 0, 7, 3]
+        assert np.array_equal(evaluate_atoms(spec, x, subset), rbf_atoms(spec, x, subset))
+        one = x[:1]  # a single sample
+        assert np.array_equal(evaluate_atoms(spec, one), rbf_atoms(spec, one))
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["d1", "d3"])
+    def test_design_and_normalization_match_plain_expression(self, case):
+        spec, x = _specs_and_inputs()[case]
+        raw = evaluate_design(spec, x)
+        norms, scaled = normalized_design(rbf_atoms(spec, x))
+        assert np.array_equal(raw.columns, rbf_atoms(spec, x))
+        assert np.array_equal(raw.column_norms, norms)
+        dm = normalize_columns(raw)
+        assert np.array_equal(dm.columns, scaled)
+        assert np.array_equal(dm.column_norms, norms)
+
+    def test_design_holds_the_only_copy(self):
+        spec, x = _specs_and_inputs()[0]
+        raw = evaluate_design(spec, x)
+        dm = normalize_columns(raw)
+        for design in (raw, dm):
+            assert design.columns.flags.owndata and not design.columns.flags.writeable
+        assert not np.shares_memory(raw.columns, dm.columns)
+        assert dm.column_norms is raw.column_norms
 
 
 class TestNormalizeColumns:

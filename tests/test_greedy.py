@@ -11,9 +11,11 @@ from greedyreg.core import (
     RESIDUAL_RATIO,
     ZERO_RESIDUAL,
 )
+from greedyreg.data import load_csv
 from greedyreg.greedy import (
     CandidatePool,
     Criterion,
+    ResidualScan,
     ZeroResidual,
     correlation,
     select_atom,
@@ -330,3 +332,136 @@ class TestDeltaValidation:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 validate_delta(bad)
+
+
+def _benchmark_designs(tmp_path_factory):
+    """The normalized designs of the sinc-greedy and csv-greedy benchmark cells (seed 1), with y."""
+    import os
+    import sys
+
+    from greedyreg.bench import ExperimentConfig, _prepare_cell
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, root)
+    try:
+        from perfbench.workloads import write_csv
+    finally:
+        sys.path.remove(root)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    write_csv(path, 1)
+    sinc = ExperimentConfig(task="sinc", methods=[parse_method("ogl:max")], seeds=[1],
+                            m_train=500, m_test=500, n=1000, eta=1.0, sigmas=[0.1])
+    csv = ExperimentConfig(task="csv", methods=[parse_method("ogl:max")], seeds=[1],
+                           csv_path=str(path))
+    full = load_csv(str(path), "last", True)
+    cells = [_prepare_cell(sinc, None, 0, 1), _prepare_cell(csv, full, 0, 1)]
+    return [(cell.dm_fit, cell.y) for cell in cells]
+
+
+@pytest.fixture(scope="module")
+def benchmark_designs(tmp_path_factory):
+    return _benchmark_designs(tmp_path_factory)
+
+
+class TestBlockProducts:
+    """What the windowed "first" scans rest on: on this BLAS, a block product that
+    starts at a multiple of 4 and is a multiple of 4 wide, or ends the dictionary,
+    gives the full product's entries bit for bit."""
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["sinc-greedy", "csv-greedy"])
+    def test_aligned_blocks_equal_the_full_product(self, benchmark_designs, which):
+        dm, y = benchmark_designs[which]
+        trace = fit_ogl(dm, y, Criterion("max"), 12)
+        residuals = [np.asarray(y, dtype=float), trace.state.residual]
+        residuals.append(np.random.default_rng(2).standard_normal(dm.m))
+        columns, n = dm.columns, dm.n
+        differing = 0
+        for r in residuals:
+            full = columns.T @ r
+            for start in range(0, n, 4):
+                for width in (4, 16, 32, 64, 128, 256):
+                    stop = min(start + width, n)
+                    differing += int(np.sum(columns[:, start:stop].T @ r != full[start:stop]))
+        assert differing == 0
+
+
+class TestFirstScanWindow:
+    """A "first" scan starts at the fit's first unexcluded atom, rounded down to a
+    multiple of 4, and fills the rest of its residual's correlations as asked."""
+
+    @staticmethod
+    def _instance():
+        cols = np.random.default_rng(7).standard_normal((30, 600))
+        dm = _design(cols)
+        r = np.random.default_rng(8).standard_normal(30)
+        return dm, r, empirical_norm(r), correlations(dm.columns, r)
+
+    @staticmethod
+    def _expected_first(corr, excluded, delta):
+        return int(np.flatnonzero((corr > delta) & ~excluded)[0])
+
+    def test_window_opens_at_first_unexcluded_atom_and_blocks_restart(self, monkeypatch):
+        dm, r, rn, corr = self._instance()
+        blocks = []
+        cover = ResidualScan.cover
+
+        def spy(scan, dm, residual, norm, start, stop):
+            blocks.append((start, stop))
+            return cover(scan, dm, residual, norm, start, stop)
+
+        monkeypatch.setattr(ResidualScan, "cover", spy)
+        excluded = np.zeros(600, dtype=bool)
+        excluded[:37] = True
+        pool = CandidatePool()
+        delta = 0.99  # above every correlation: the scan reads the whole rest
+        assert select_atom(dm, r, rn, Criterion("first", delta), excluded, pool=pool) is None
+        assert blocks == [(36, 52), (52, 68), (68, 100), (100, 164), (164, 292), (292, 548),
+                          (548, 600)]
+        assert (pool.scan.lo, pool.scan.upto, pool.scanned) == (36, 600, 564)
+        assert np.array_equal(pool.scan.values[36:], corr[36:])
+
+    def test_pick_matches_full_scan_and_ranked_fills_below(self):
+        dm, r, rn, corr = self._instance()
+        excluded = np.zeros(600, dtype=bool)
+        excluded[:101] = True
+        delta = float(np.sort(corr[101:])[-3])  # two atoms past 100 lie above it
+        pool = CandidatePool()
+        pick = select_atom(dm, r, rn, Criterion("first", delta), excluded, pool=pool)
+        assert pick == self._expected_first(corr, excluded, delta)
+        scan = pool.scan
+        assert scan.lo == 100 and pool.scanned == scan.upto - 100
+
+        # a ranked selection on the same residual computes [0, 100) and the rest
+        ranked = CandidatePool(scan)
+        none_excluded = np.zeros(600, dtype=bool)
+        assert select_atom(dm, r, rn, Criterion("max"), none_excluded, pool=ranked) == int(
+            np.argmax(corr)
+        )
+        assert ranked.scanned == 600 - pool.scanned
+        assert (scan.lo, scan.upto) == (0, 600)
+        assert np.array_equal(scan.values, corr)
+
+    def test_fit_sharing_a_window_fills_below_it(self):
+        dm, r, rn, corr = self._instance()
+        late = np.zeros(600, dtype=bool)
+        late[:37] = True
+        shared = CandidatePool()
+        delta = 0.3
+        select_atom(dm, r, rn, Criterion("first", delta), late, pool=shared)
+        assert shared.scan.lo == 36
+
+        early = np.zeros(600, dtype=bool)
+        early[:9] = True
+        pool = CandidatePool(shared.scan)
+        pick = select_atom(dm, r, rn, Criterion("first", delta), early, pool=pool)
+        assert pick == self._expected_first(corr, early, delta)
+        assert pool.scan.lo == 8 and pool.scanned == 36 - 8
+        upto = pool.scan.upto
+        assert np.array_equal(pool.scan.values[8:upto], corr[8:upto])
+
+    def test_all_excluded_scans_nothing(self):
+        dm, r, rn, _ = self._instance()
+        pool = CandidatePool()
+        excluded = np.ones(600, dtype=bool)
+        assert select_atom(dm, r, rn, Criterion("first", 0.1), excluded, pool=pool) is None
+        assert pool.scanned == 0
