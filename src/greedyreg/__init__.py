@@ -14,7 +14,7 @@ from .core import (
     validate_dataset,
 )
 from .algorithms import FitTrace, fit_delta_togl, fit_ogl, fit_pgl, fit_togl, predict
-from .baselines import DenseModel, fit_fista, fit_ridge
+from .baselines import DenseModel, LassoPath, fit_fista, fit_ridge
 from .bench import ExperimentConfig, MethodSpec, oracle_select, sweep
 from .data import gen_sinc, load_csv, split_half, zscore_fit_apply
 from .dictionary import (
@@ -34,6 +34,7 @@ __all__ = [
     "ExperimentConfig",
     "FitReport",
     "FitTrace",
+    "LassoPath",
     "MethodSpec",
     "RbfSpec",
     "SparseModel",
@@ -59,4 +60,4 @@ __all__ = [
     "zscore_fit_apply",
 ]
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

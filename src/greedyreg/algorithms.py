@@ -38,6 +38,7 @@ from .greedy import (
 from .linalg import (
     DegenerateColumn,
     ProjectionState,
+    check_target,
     clearly_degenerate,
     empirical_norm,
     project_append,
@@ -115,13 +116,6 @@ class FitTrace:
         return self.prefix_model(self.k_fitted)
 
 
-def _check_target(y) -> float:
-    y_norm = empirical_norm(y)
-    if y_norm <= 0:
-        raise ValueError("target norm must be positive")
-    return y_norm
-
-
 class _Node:
     """One residual of a FitTree: the residual after a selected prefix."""
 
@@ -161,7 +155,7 @@ class FitTree:
     def __init__(self, dm: DesignMatrix, y):
         self.dm = dm
         self.y = np.array(y, dtype=float)
-        self.y_norm = _check_target(self.y)
+        self.y_norm = check_target(self.y)
         self.budget = dm.m * dm.n  # floats left to record
         self.root = _Node(None, dm.n, kept=True)
 
@@ -483,7 +477,7 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     y = np.asarray(y, dtype=float)
-    y_norm = _check_target(y)
+    y_norm = check_target(y)
     residual = y.copy()
     residual_norm = y_norm
     scales = dm.scales()

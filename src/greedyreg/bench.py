@@ -5,15 +5,17 @@ dictionaries, and any per-method randomness all derive from the master
 seed through fixed counters, so reruns are reproducible byte for byte
 (timing can be suppressed for exact comparisons).  One k-capped greedy
 fit yields every prefix model, so k-sweeps cost a single fit; threshold
-and regularization sweeps rerun the fit per grid point.  Every max fit
-of a cell (ogl, togl and dtogl) is cut from the cell's one MaxPath, and
-its row reports the path's clock where the fit stops.  The other
-orthogonal fits of one threshold sweep share a FitTree, so a prefix that
-several thresholds select is appended and scanned once; the rows of
-such a sweep report its mean fit time.  Neither depends on the order of
-the grid.
+and ridge sweeps rerun the fit per grid point.  Every max fit of a cell
+(ogl, togl and dtogl) is cut from the cell's one MaxPath, and its row
+reports the path's clock where the fit stops.  The other orthogonal fits
+of one threshold sweep share a FitTree, so a prefix that several
+thresholds select is appended and scanned once, and the fista fits of
+one lambda sweep share a LassoPath, which solves the whole grid in one
+loop; the rows of such a sweep report its mean fit time.  None of these
+depends on the order of the grid.
 """
 
+import functools
 import sys
 import time
 from collections.abc import Callable
@@ -71,16 +73,18 @@ class _Algorithm(NamedTuple):
     if empty).  ``grid`` names the ExperimentConfig grid swept: a "k" grid
     is read off one capped fit at every prefix, other grids refit per
     point.  ``fit(dm, y, param, criterion, rng, tree)`` runs one fit;
-    ``tree`` is the cell's MaxPath for a max criterion, else the FitTree
-    that the fits of a delta sweep share (None for other grids, whose
-    fits ignore it).  It looks the fitting function up on its module at
-    call time, so that a replaced module attribute (as in tracing) takes
-    effect.
+    ``tree`` is the cell's MaxPath for a max criterion, else what
+    ``share(dm, y, grid)`` made for the fits of one sweep to share: a
+    FitTree for a delta sweep, a LassoPath for a lasso sweep (None if
+    there is no ``share``; those fits ignore it).  ``fit`` looks the
+    fitting function up on its module at call time, so that a replaced
+    module attribute (as in tracing) takes effect.
     """
 
     criteria: tuple
     grid: str
     fit: Callable
+    share: Callable | None = None
 
 
 _RANKED = ("max", "max2", "max3", "rand")
@@ -99,6 +103,7 @@ _ALGORITHMS = {
         lambda dm, y, delta, crit, rng, tree: algorithms.fit_togl(
             dm, y, Criterion(crit, delta), min(dm.n, _K_SWEEP_CAP), rng, tree
         ),
+        lambda dm, y, grid: algorithms.FitTree(dm, y),
     ),
     "dtogl": _Algorithm(
         ("first",) + _RANKED,
@@ -106,12 +111,16 @@ _ALGORITHMS = {
         lambda dm, y, delta, crit, rng, tree: algorithms.fit_delta_togl(
             dm, y, delta, crit, rng, tree
         ),
+        lambda dm, y, grid: algorithms.FitTree(dm, y),
     ),
     "ridge": _Algorithm(
         (), "lambda", lambda dm, y, lam, crit, rng, tree: baselines.fit_ridge(dm, y, lam)
     ),
     "fista": _Algorithm(
-        (), "lambda", lambda dm, y, lam, crit, rng, tree: baselines.fit_fista(dm, y, lam)
+        (),
+        "lambda",
+        lambda dm, y, lam, crit, rng, path: baselines.fit_fista(dm, y, lam, path=path),
+        lambda dm, y, grid: baselines.LassoPath(dm, y, grid),
     ),
 }
 
@@ -197,6 +206,8 @@ class ExperimentConfig:
     delta_grid: list | None = None
     lambda_grid: list | None = None
     include_materialization: bool = False
+    # a failed fit becomes a flagged row; unset, its error is raised
+    flag_failures: bool = True
 
     def validate(self) -> "ExperimentConfig":
         if self.task not in ("sinc", "csv"):
@@ -278,11 +289,13 @@ def _prepare_cell(config, full_dataset, sigma_idx, seed) -> _Cell:
     test_columns = evaluate_atoms(spec, test.inputs)
     materialize_seconds = time.perf_counter() - start
     y = train.targets
+    with np.errstate(over="ignore", invalid="ignore"):  # the fits reject such a target
+        y_norm = empirical_norm(y)
     return _Cell(
         dm_fit=dm,
         test_columns=test_columns,
         y=y,
-        y_norm=empirical_norm(y),
+        y_norm=y_norm,
         y_test=test.targets,
         bound=float(np.max(np.abs(y))),
         rmse_scale=rmse_scale,
@@ -357,15 +370,19 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
     extra = run.cell.materialize_seconds if config.include_materialization else 0.0
     dm, y, crit = run.cell.dm_fit, run.cell.y, run.method.criterion
     reads_path = run.method.reads_path
-    tree = algorithms.FitTree(dm, y) if algo.grid == "delta" and not reads_path else None
+    # What the fits share is made in a fit, so that a target it rejects flags the rows.
+    if reads_path:
+        shared = run.cell.max_path
+    elif algo.share is not None:
+        shared = functools.cache(lambda: algo.share(dm, y, grid))
+    else:
+        shared = lambda: None  # noqa: E731
 
     def fit(param):
         rng = np.random.default_rng([run.seed, 19, sigma_idx, method_idx])
 
         def thunk():
-            # the path is made in a fit, so that a target it rejects flags the rows
-            shared = run.cell.max_path() if reads_path else tree
-            return algo.fit(dm, y, param, crit, rng, shared)
+            return algo.fit(dm, y, param, crit, rng, shared())
 
         result, seconds = time_fit(thunk)
         if reads_path and result.seconds is not None:
@@ -377,6 +394,8 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
         try:
             trace, seconds = fit(max([1] + grid))
         except (ArithmeticError, ValueError) as exc:  # numerical failures: flagged rows
+            if not config.flag_failures:
+                raise
             return [run.failed_row(k, exc) for k in grid]
         return run.prefix_rows(grid, trace, seconds)
 
@@ -389,10 +408,12 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
             rows.append(make_row(param, *fit(param)))
             fitted.append(len(rows) - 1)
         except (ArithmeticError, ValueError) as exc:
+            if not config.flag_failures:
+                raise
             rows.append(run.failed_row(param, exc))
-    if tree is not None and fitted:
-        # A fit reads what the fits before it put in the tree, so its own clock
-        # depends on its place in the grid; each row carries the sweep's mean.
+    if algo.share is not None and not reads_path and fitted:
+        # A fit reads what the fits before it put in the tree or path, so its own
+        # clock depends on its place in the grid; each row carries the sweep's mean.
         share = sum(rows[i].seconds for i in fitted) / len(fitted)
         for i in fitted:
             rows[i] = replace(rows[i], seconds=share)

@@ -250,6 +250,7 @@ def _cmd_fit(args) -> int:
         target_column=_normalize_target(args.target),
         header=not args.no_header,
         normalize_atoms=not args.raw_atoms,
+        flag_failures=False,
     )
     setattr(config, f"{method.grid}_grid", [method.param])
     row = sweep(config.validate())[0]

@@ -58,6 +58,15 @@ def empirical_norm(f_vals) -> float:
     return float(np.sqrt(np.add.reduce(f_vals * f_vals, axis=None) / f_vals.size))
 
 
+def check_target(y) -> float:
+    """The empirical norm of a fit's target; raises unless it is finite and positive."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error raised
+        y_norm = empirical_norm(y)
+    if not 0 < y_norm < np.inf:
+        raise ValueError(f"target norm must be finite and positive, got {y_norm:g}")
+    return y_norm
+
+
 def rmse(pred, truth) -> float:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)

@@ -79,6 +79,12 @@ def forward_error(x, exact):
     return float(np.abs(diff).max() / np.abs(exact).max())
 
 
+def lasso_objective(dm, y, coef, lam):
+    """(1/2m) ||y - G a||^2 + lam ||a||_1 from the design's columns."""
+    resid = y - dm.columns @ coef
+    return float(resid @ resid) / (2 * dm.m) + lam * float(np.sum(np.abs(coef)))
+
+
 def fista_reference(gram, b, yy, lip, lam, max_iter, tol):
     """The monotone FISTA loop as first written, one new vector per operation.
 

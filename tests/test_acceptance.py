@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import coordinate_descent_lasso, naive_omp
+from oracles import coordinate_descent_lasso, lasso_objective, naive_omp
 
 from greedyreg import algorithms
 from greedyreg.algorithms import fit_delta_togl, fit_ogl, prefix_predictions
-from greedyreg.baselines import fit_fista, fit_ridge, lasso_objective
+from greedyreg.baselines import fit_fista, fit_ridge
 from greedyreg.bench import (
     ExperimentConfig,
     oracle_select,

@@ -8,10 +8,10 @@ from greedyreg import bench
 from greedyreg.baselines import (
     DenseModel,
     FactorizationFailure,
+    LassoPath,
     _soft_threshold_vec,
     fit_fista,
     fit_ridge,
-    lasso_objective,
     lipschitz_estimate,
 )
 from greedyreg.core import CONVERGED, FIXED_K, MAX_ITER, DesignMatrix
@@ -28,7 +28,7 @@ def _random_design(rng, m, n):
     return _design(rng.standard_normal((m, n)))
 
 
-from oracles import coordinate_descent_lasso, fista_reference
+from oracles import coordinate_descent_lasso, fista_reference, lasso_objective
 
 
 def _count_builds(monkeypatch, name):
@@ -294,6 +294,130 @@ class TestFista:
                 fit_fista(dm, np.ones(3), lam)
         with pytest.raises(ValueError):
             fit_fista(dm, np.ones(3), 0.1, max_iter=0)
+
+
+def _reference_fit(dm, y, lam, max_iter, tol):
+    b, yy = dm.columns.T @ y / dm.m, float(y @ y) / dm.m
+    return fista_reference(dm.gram, b, yy, dm.lipschitz, lam, max_iter, tol)
+
+
+def _sinc_case():
+    """A sinc RBF design whose small-lambda fits end at max_iter."""
+    rng = np.random.default_rng(1)
+    train, _ = gen_sinc(200, 10, 0.5, rng)
+    spec = build_rbf_uniform(60, -np.pi, np.pi, 1.0, rng)
+    return normalize_columns(evaluate_design(spec, train.inputs)), train.targets
+
+
+def _same_fit(a, b):
+    return (
+        np.array_equal(a.coefficients, b.coefficients)
+        and (a.iterations_used, a.termination, a.rel_gap)
+        == (b.iterations_used, b.termination, b.rel_gap)
+    )
+
+
+class TestLassoPath:
+    def test_rows_match_reference_bit_for_bit(self):
+        # unsorted grids with a repeated lambda; rows stop at different iterations
+        cases = []
+        for trial in range(40):
+            r = np.random.default_rng(trial + 300)
+            m, n = int(r.integers(10, 60)), int(r.integers(3, 40))
+            dm, y = _random_design(r, m, n), r.standard_normal(m)
+            lams = [float(lam) for lam in 10.0 ** r.uniform(-4, -0.5, size=4)]
+            tol = float(10.0 ** r.uniform(-12, -3))
+            cases.append((dm, y, lams + lams[1:2], 400, tol))
+        dm, y = _sinc_case()
+        cases.append((dm, y, [1e-2, 1e-5, 10.0, 1e-5, 0.3], 1500, 1e-6))
+        mixed = 0
+        for dm, y, lams, max_iter, tol in cases:
+            path = LassoPath(dm, y, lams, max_iter, tol)
+            terminations = set()
+            for lam in lams:
+                model = fit_fista(dm, y, lam, max_iter, tol, path=path)
+                x, used, converged, gap = _reference_fit(dm, y, lam, max_iter, tol)
+                assert np.array_equal(model.coefficients, x)
+                assert model.iterations_used == used and model.rel_gap == gap
+                assert model.termination == (CONVERGED if converged else MAX_ITER)
+                terminations.add(model.termination)
+            mixed += terminations == {CONVERGED, MAX_ITER}
+        assert mixed >= 5
+
+    def test_lone_fit_equals_its_row_of_a_30_lambda_path(self):
+        dm, y = _sinc_case()
+        lams = list(np.geomspace(*bench.DEFAULT_LAMBDA_GRID))
+        path = LassoPath(dm, y, lams, max_iter=1500)
+        rows = [fit_fista(dm, y, lam, 1500, path=path) for lam in lams]
+        assert {row.termination for row in rows} == {CONVERGED, MAX_ITER}
+        for lam, row in zip(lams, rows):
+            assert _same_fit(fit_fista(dm, y, lam, 1500), row)
+
+    def test_first_model_solves_the_grid(self, monkeypatch):
+        solves = []
+        real_solve = LassoPath._solve
+        monkeypatch.setattr(LassoPath, "_solve", lambda path: solves.append(1) or real_solve(path))
+        rng = np.random.default_rng(12)
+        dm, y = _random_design(rng, 20, 6), rng.standard_normal(20)
+        path = LassoPath(dm, y, [0.1, 0.01, 0.1])
+        assert solves == []
+        models = [path.model(lam) for lam in (0.01, 0.1, 0.1)]
+        assert solves == [1]
+        # every model owns its coefficients
+        models[1].coefficients[:] = 7.0
+        assert _same_fit(models[2], fit_fista(dm, y, 0.1))
+
+    def test_rejects_another_budget_design_target_or_lambda(self):
+        rng = np.random.default_rng(13)
+        dm, y = _random_design(rng, 20, 6), rng.standard_normal(20)
+        path = LassoPath(dm, y, [0.1])
+        for kwargs in ({"max_iter": 5}, {"tol": 1e-3}):
+            with pytest.raises(ValueError, match="LassoPath runs"):
+                fit_fista(dm, y, 0.1, path=path, **kwargs)
+        with pytest.raises(ValueError, match="another design or target"):
+            fit_fista(_random_design(rng, 20, 6), y, 0.1, path=path)
+        with pytest.raises(ValueError, match="another design or target"):
+            fit_fista(dm, y + 1.0, 0.1, path=path)
+        with pytest.raises(ValueError, match="not on the path"):
+            fit_fista(dm, y, 0.2, path=path)
+        assert _same_fit(fit_fista(dm, y, 0.1, path=path), fit_fista(dm, y, 0.1))
+
+    def test_rejects_bad_grid_or_budget(self):
+        dm = _design(np.eye(3))
+        for lams in ([0.1, -1.0], [np.nan], [np.inf]):
+            with pytest.raises(ValueError):
+                LassoPath(dm, np.ones(3), lams)
+        with pytest.raises(ValueError):
+            LassoPath(dm, np.ones(3), [0.1], max_iter=0)
+
+    def test_a_nonfinite_row_fails_alone(self, monkeypatch):
+        real_solve = LassoPath._solve
+
+        def corrupting(path):
+            fits = real_solve(path)
+            coefficients, *rest = fits[0.01]
+            fits[0.01] = (np.full_like(coefficients, np.nan), *rest)
+            return fits
+
+        monkeypatch.setattr(LassoPath, "_solve", corrupting)
+        rng = np.random.default_rng(14)
+        dm, y = _random_design(rng, 20, 6), rng.standard_normal(20)
+        path = LassoPath(dm, y, [0.1, 0.01])
+        with pytest.raises(ValueError, match="finite"):
+            path.model(0.01)
+        assert np.isfinite(path.model(0.1).coefficients).all()
+
+
+@pytest.mark.parametrize(
+    "target", [np.zeros(8), np.full(8, 1e300), np.full(8, np.nan)], ids=["zero", "1e300", "nan"]
+)
+def test_dense_fits_reject_a_target_without_finite_positive_norm(target, monkeypatch):
+    builds = _count_builds(monkeypatch, "gram")
+    dm = _random_design(np.random.default_rng(15), 8, 3)
+    for fit in (fit_ridge, fit_fista, lambda dm, y, lam: LassoPath(dm, y, [lam])):
+        with pytest.raises(ValueError, match="target norm must be finite and positive"):
+            fit(dm, target, 0.1)
+    assert builds == []  # rejected before any product with the design
 
 
 def _column_form_gap(columns, y, coef, lam):

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from greedyreg import algorithms, bench
+from greedyreg import algorithms, baselines, bench
 from greedyreg.bench import (
     DEFAULT_DELTA_GRID,
     EmptyTable,
@@ -222,6 +222,53 @@ class TestSweep:
             methods=[parse_method("dtogl:first")], delta_grid=[1e-4, 1e-3, 1e-2, 0.2]
         )
         assert [row.seconds for row in sweep(cfg)] == [3.0] * 4
+
+    def test_lasso_sweep_rows_carry_the_mean_fit_time(self, monkeypatch):
+        # the first fista fit of a cell solves its whole grid; each row reports the mean
+        clocks = iter([1.0, 2.0, 6.0])
+        monkeypatch.setattr(bench, "time_fit", lambda thunk: (thunk(), next(clocks)))
+        cfg = _tiny_config(methods=[parse_method("fista")], lambda_grid=[1e-4, 1e-2, 0.1])
+        assert [row.seconds for row in sweep(cfg)] == [3.0] * 3
+
+    def test_fista_fits_read_one_lasso_path_per_cell(self, monkeypatch):
+        events = []
+        real_solve = baselines.LassoPath._solve
+        monkeypatch.setattr(
+            baselines.LassoPath, "_solve", lambda path: events.append("solve") or real_solve(path)
+        )
+        real_fit = baselines.fit_fista
+
+        def counted(*args, **kwargs):
+            events.append((len(args), args[2], sorted(kwargs)))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "fit_fista", counted)
+        grid = [1e-2, 1e-4, 0.1]
+        cfg = _tiny_config(methods=[parse_method("fista")], lambda_grid=grid, seeds=[0, 1])
+        shared = sweep(cfg)
+        # per cell, (dm, y, lam) positional once per lambda; the first call solves the grid
+        fits = [(3, lam, ["path"]) for lam in grid]
+        assert events == [fits[0], "solve", *fits[1:]] * 2
+        # the bench passes the path by keyword; drop it, so each fit solves alone
+        monkeypatch.setattr(baselines, "fit_fista", lambda *args, **kwargs: real_fit(*args))
+        alone = sweep(cfg)
+        untimed = lambda rows: [dataclasses.replace(row, seconds=0.0) for row in rows]
+        assert untimed(shared) == untimed(alone)
+
+    def test_a_nonfinite_lasso_row_is_flagged_alone(self, monkeypatch):
+        real_solve = baselines.LassoPath._solve
+
+        def corrupting(path):
+            fits = real_solve(path)
+            coefficients, *rest = fits[1e-2]
+            fits[1e-2] = (np.full_like(coefficients, np.inf), *rest)
+            return fits
+
+        monkeypatch.setattr(baselines.LassoPath, "_solve", corrupting)
+        cfg = _tiny_config(methods=[parse_method("fista")], lambda_grid=[1e-4, 1e-2, 0.1])
+        rows = sweep(cfg)
+        assert [row.termination for row in rows][1] == "error:ValueError"
+        assert all(row.termination in (CONVERGED, MAX_ITER) for row in rows[::2])
 
     def test_prefix_rows_share_fit_and_clamp(self):
         cfg = _tiny_config(methods=[parse_method("ogl:max")], k_grid=[0, 3, 9999])

@@ -272,6 +272,11 @@ _BOUNDARY_CASES = [
     (["bench", "sinc", *_SMALL, "--methods", "ridge,fista", "--eta", "0.5",
       "--lambda-grid", "1e-3:1e-1:2", "--no-timing"], 0),
     (["fit", "--method", "ridge@1e300", *_SMALL], 0),
+    # a target whose norm overflows: flagged bench rows, a failed fit
+    (["bench", "sinc", *_SMALL, "--methods", "ridge,fista", "--sigma", "1e300",
+      "--lambda-grid", "1e-3:1e-1:2", "--no-timing"], 0),
+    (["fit", "--method", "fista@1e-3", *_SMALL, "--sigma", "1e300"], 1),
+    (["fit", "--method", "ridge@1e-3", *_SMALL, "--sigma", "1e300"], 1),
 ]
 
 
@@ -286,6 +291,16 @@ def test_numeric_boundaries(argv, code, capsys):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
     else:
         assert "nan" not in out.lower()
+
+
+def test_overflowing_target_flags_every_row(capsys):
+    argv = ["bench", "sinc", *_SMALL, "--methods", "ridge,fista", "--sigma", "1e300",
+            "--lambda-grid", "1e-3:1e-1:2", "--no-timing"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 4 and all(",inf,inf,0,0,error:ValueError," in row for row in rows)
+    assert err.count("target norm must be finite and positive") == 4
 
 
 def test_arithmetic_error_is_reported(monkeypatch, capsys):

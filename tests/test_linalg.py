@@ -13,6 +13,7 @@ from greedyreg.linalg import (
     DegenerateColumn,
     NonPositiveBound,
     ProjectionState,
+    check_target,
     clearly_degenerate,
     empirical_inner,
     empirical_norm,
@@ -63,6 +64,17 @@ class TestEmpiricalNorm:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(11)
         assert empirical_norm(v) == pytest.approx(np.sqrt(empirical_inner(v, v)))
+
+
+class TestCheckTarget:
+    def test_returns_the_norm(self):
+        assert check_target([3.0, 4.0]) == empirical_norm([3.0, 4.0])
+
+    @pytest.mark.parametrize("value", [0.0, 1e300, np.inf, np.nan])
+    def test_rejects_a_norm_not_finite_and_positive(self, value, recwarn):
+        with pytest.raises(ValueError, match="target norm must be finite and positive"):
+            check_target([value, value])
+        assert len(recwarn) == 0  # the overflow is reported by the error alone
 
 
 class TestTruncate:
