@@ -285,82 +285,66 @@ class MaxPath:
     rule fires: while the path's pick correlates above delta it is also
     the thresholded pick (the stable order of the atoms above delta is
     a prefix of the full order), and both skip the same degenerate
-    columns.  So the path records, per attempt, the picked atom's
-    correlation as its selection scan computed it, and after each pick
-    and each attempt its own clock and the correlations it scanned; a
-    cut reads the fit's trace off these records bit for bit, and shares
-    the path's QR factor for prefix solves.  The path runs only as far
-    as its cuts have needed: a pick at or below a cut's delta waits
-    untried until a smaller delta asks for it.  Past the design's
-    numerical rank most picks are atoms the pool flagged as clearly
-    degenerate; the path takes a run of them in one step, recording per
-    pick its correlation and attempt as it would one by one, and all
-    the run's marks read the clock at its end.  A run stops before the
-    first pick at or below the delta that called it, so it makes no
-    attempt a cut did not need.
+    columns.  So the path keeps one record per pick (the picked atom's
+    correlation as its selection scan computed it) and one per attempt
+    (whether it kept the atom), each with the path's clock and the
+    correlations it had scanned once it was made.  A cut reads the
+    fit's trace off these records bit for bit, and shares the path's
+    QR factor for prefix solves.  The path runs only as far as its cuts
+    have needed: a pick at or below a cut's delta waits untried until a
+    smaller delta asks for it.  Past the design's numerical rank most
+    picks are atoms the pool flagged as clearly degenerate; the path
+    picks and skips a run of them in one step, recording each as it
+    would one by one, all at the clock of the run's end.  A run stops
+    before the first pick at or below the delta that called it, so it
+    makes no attempt a cut did not need.
     """
 
     def __init__(self, dm: DesignMatrix, y):
         start = time.perf_counter()
         self._walk = _Walk(FitTree._unrecorded(dm, y), Criterion("max"), None)
         self._picked = None  # the atom of the latest pick
-        self._tops = []  # per pick: the picked atom's correlation, None when none was left
-        self._kept_at = []  # per kept atom: the attempts made by then
-        # (seconds, correlations scanned) after setup, then after each pick
-        # and each attempt: pick j is mark 2j + 1, its attempt mark 2j + 2
-        self._marks = [(time.perf_counter() - start, 0)]
+        self._picks = []  # per pick: (correlation, None when no atom was left; clock; scanned)
+        self._tries = []  # per attempt: (whether it kept the atom; clock; scanned)
+        self._setup = (time.perf_counter() - start, 0)  # (clock, scanned) before the first pick
+        self._clock = self._setup[0]
 
     def check(self, dm: DesignMatrix, y) -> "MaxPath":
         self._walk.tree.check(dm, y)
         return self
 
     def _mark(self, start: float):
-        seconds = self._marks[-1][0] + time.perf_counter() - start
-        self._marks.append((seconds, self._walk.pool.scanned))
+        """Run the path's clock on by the time since ``start``: (clock, correlations scanned)."""
+        self._clock = self._clock + time.perf_counter() - start
+        return self._clock, self._walk.pool.scanned
 
-    def _pick(self):
-        start = time.perf_counter()
-        walk = self._walk
-        self._picked = walk.pick()
-        self._tops.append(
-            None if self._picked is None else float(walk.pool.scan.values[self._picked])
-        )
-        self._mark(start)
+    def _top(self, j: int, delta):
+        """Pick j's correlation, None when no atom was left; the path makes pick j if it has not.
 
-    def _take(self):
-        start = time.perf_counter()
-        if self._walk.take(self._picked):
-            self._kept_at.append(self._walk.attempts)
-        self._mark(start)
-
-    def _skip_flagged(self, delta) -> bool:
-        """Pick and skip the flagged atoms above delta that lead the pool; False if there are none.
-
-        The walk's tree records nothing, so nothing is written into it.
+        Where flagged atoms above ``delta`` lead the pool, it picks and skips their run at once.
         """
-        start = time.perf_counter()
-        walk = self._walk
-        run = walk.pool.pop_flagged(delta)
-        if run.size == 0:
-            return False
-        walk.attempts += run.size
-        walk.excluded[run] = True
-        self._tops.extend(walk.pool.scan.values[run].tolist())
-        seconds = self._marks[-1][0] + time.perf_counter() - start
-        self._marks.extend([(seconds, walk.pool.scanned)] * (2 * run.size))
-        return True
+        if j == len(self._picks):
+            start, walk = time.perf_counter(), self._walk
+            run = walk.pool.pop_flagged(delta)
+            if run.size:
+                walk.attempts += run.size
+                walk.excluded[run] = True
+                mark = self._mark(start)
+                self._picks.extend((top, *mark) for top in walk.pool.scan.values[run].tolist())
+                self._tries.extend([(False, *mark)] * run.size)
+            else:
+                self._picked = walk.pick()
+                top = None if self._picked is None else float(walk.pool.scan.values[self._picked])
+                self._picks.append((top, *self._mark(start)))
+        return self._picks[j][0]
 
-    def _reach(self, k: int, delta):
-        """Run on until k + 1 atoms are kept, none is left, or the pick is at or below delta."""
-        while len(self._kept_at) <= k:
-            if len(self._tops) == self._walk.attempts:
-                if self._skip_flagged(delta):
-                    continue
-                self._pick()
-            top = self._tops[-1]
-            if top is None or (delta is not None and not top > delta):
-                return
-            self._take()
+    def _taken(self, j: int) -> bool:
+        """Whether attempt j kept its atom; the path tries its pending pick if it has not."""
+        if j == len(self._tries):
+            start = time.perf_counter()
+            kept = self._walk.take(self._picked)
+            self._tries.append((kept, *self._mark(start)))
+        return self._tries[j][0]
 
     def cut(self, criterion: Criterion, k_cap=None, ratio_delta=None) -> FitTrace:
         """The trace of a max fit with this cap and ratio stop, as if run alone.
@@ -370,35 +354,26 @@ class MaxPath:
         """
         if criterion.kind != "max":
             raise ValueError(f"a MaxPath serves the max criterion, not {criterion.kind!r}")
-        start, ran = time.perf_counter(), self._marks[-1][0]
-        walk, delta = self._walk, criterion.delta
-        k = first = 0  # atoms kept, attempts made before the current residual
+        start, ran = time.perf_counter(), self._clock
+        walk, delta, y_norm = self._walk, criterion.delta, self._walk.tree.y_norm
+        k = j = 0  # atoms kept, attempts made
         while True:
-            norm = walk.residual_norms[k - 1] if k else walk.tree.y_norm
-            reason = _stop_reason(norm, walk.tree.y_norm, k, k_cap, ratio_delta)
+            norm = walk.residual_norms[k - 1] if k else y_norm
+            reason = _stop_reason(norm, y_norm, k, k_cap, ratio_delta)
             if reason is not None:
-                iterations, mark = first, 2 * first
+                seconds, scanned = self._tries[j - 1][1:] if j else self._setup
                 break
-            self._reach(k, delta)
-            stop = self._kept_at[k] if k < len(self._kept_at) else len(self._tops)
-            for j in range(first, stop):
-                top = self._tops[j]
-                if top is None:
-                    reason = _no_pick_reason(criterion, False)
-                elif delta is not None and not top > delta:
-                    reason = _no_pick_reason(criterion, True)
-                else:
-                    continue
+            top = self._top(j, delta)
+            if top is None or (delta is not None and not top > delta):
+                reason = _no_pick_reason(criterion, top is not None)
+                seconds, scanned = self._picks[j][1:]
                 break
-            if reason is not None:
-                iterations, mark = j, 2 * j + 1
-                break
-            k, first = k + 1, stop
-        seconds, scanned = self._marks[mark]
-        own = time.perf_counter() - start - (self._marks[-1][0] - ran)
+            k += self._taken(j)
+            j += 1
+        own = time.perf_counter() - start - (self._clock - ran)
         return FitTrace(
             walk.selected[:k], None, walk.residual_norms[:k], walk.selected_corrs[:k], reason,
-            iterations, scanned, walk.tree.dm, walk.state, seconds + own,
+            j, scanned, walk.tree.dm, walk.state, seconds + own,
         )
 
 

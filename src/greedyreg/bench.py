@@ -491,6 +491,8 @@ class OracleRow:
 def _mean_se(values):
     values = np.asarray(values, dtype=float)
     mean = float(values.mean())
+    if not np.isfinite(values).all():
+        return mean, float("inf")
     if values.size < 2:
         return mean, 0.0
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))

@@ -42,9 +42,13 @@ def _parse_log_grid(text):
     """'lo:hi:count' -> count log-spaced values from lo to hi."""
     import numpy as np
 
-    lo_text, hi_text, count_text = text.split(":")
-    lo, hi, count = float(lo_text), float(hi_text), int(count_text)
-    if not (0 < lo < hi < np.inf) or count < 1:
+    try:
+        lo_text, hi_text, count_text = text.split(":")
+        lo, hi, count = float(lo_text), float(hi_text), int(count_text)
+        ok = 0 < lo < hi < np.inf and count >= 1
+    except ValueError:
+        ok = False
+    if not ok:
         raise ValueError(f"bad log grid {text!r}")
     return list(np.geomspace(lo, hi, count))
 
@@ -202,7 +206,9 @@ def _bench_config(args, opt) -> ExperimentConfig:
         config.m_test = opt("m_test", 1000)
         config.n = opt("n", 300)
         config.eta = opt("eta", ExperimentConfig.eta)
-        config.sigmas = opt("sigma") or [0.1, 0.5, 1.0, 2.0]
+        sigmas = opt("sigma")
+        if sigmas is not None:
+            config.sigmas = sigmas
     else:
         config.csv_path = opt("path")
         config.target_column = _normalize_target(opt("target", "last"))

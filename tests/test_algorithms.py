@@ -558,18 +558,17 @@ class TestDegenerateScreen:
         appends = _counted_appends(monkeypatch)
         path = MaxPath(dm, y)
         attempts_at_append = []
-        real_take = path._take
+        counted_append = algorithms.project_append
 
-        def take():
-            before = len(appends)
-            real_take()
-            if len(appends) > before:
-                attempts_at_append.append(path._walk.attempts)
+        def append(state, column):
+            attempts_at_append.append(path._walk.attempts)
+            return counted_append(state, column)
 
-        monkeypatch.setattr(path, "_take", take)
+        monkeypatch.setattr(algorithms, "project_append", append)
         fit_ogl(dm, y, Criterion("max"), dm.n, None, path)
+        monkeypatch.setattr(algorithms, "project_append", counted_append)
         tried = set(attempts_at_append)  # attempt numbers (1-based) that called project_append
-        tops = path._tops
+        tops = [top for top, _, _ in path._picks]
         # a pick inside a run of screened skips, below the one before it
         j = next(
             j for j in range(1, len(tops) - 1)
@@ -583,7 +582,7 @@ class TestDegenerateScreen:
         assert _all_fields(cut) == _all_fields(alone)
         assert cut.termination_reason == NO_ACTIVE_ATOM and cut.iterations == j
         # the path stopped at the pick: no attempt past it
-        assert fresh._walk.attempts == j and len(fresh._tops) == j + 1
+        assert fresh._walk.attempts == j and len(fresh._picks) == j + 1
         assert len(appends) == len([a for a in attempts_at_append if a <= j])
 
     def test_one_duplicate_in_a_full_rank_design_screens_one_block(self, monkeypatch):

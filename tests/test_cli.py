@@ -277,9 +277,16 @@ _BOUNDARY_CASES = [
       "--lambda-grid", "1e-3:1e-1:2", "--no-timing"], 0),
     (["fit", "--method", "fista@1e-3", *_SMALL, "--sigma", "1e300"], 1),
     (["fit", "--method", "ridge@1e-3", *_SMALL, "--sigma", "1e300"], 1),
+    # two seeds of rows with an infinite RMSE: an infinite standard error, not nan
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--sigma", "1e300",
+      "--lambda-grid", "1e-3:1e-1:2", "--seeds", "2", "--no-timing"], 0),
+    # empty lists: no noise level, no log grid
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--sigma", ""], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "dtogl:max", "--delta-grid", ""], 1),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv,code", _BOUNDARY_CASES, ids=lambda v: " ".join(v) if isinstance(v, list) else str(v)
 )
@@ -291,6 +298,15 @@ def test_numeric_boundaries(argv, code, capsys):
         assert len(lines) == 1 and lines[0].startswith("error: "), err
     else:
         assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize(
+    "flag,message",
+    [("--sigma", "at least one noise level required"), ("--delta-grid", "bad log grid ''")],
+)
+def test_empty_list_is_named(flag, message, capsys):
+    assert main(["bench", "sinc", *_SMALL, "--methods", "dtogl:max", flag, ""]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_overflowing_target_flags_every_row(capsys):

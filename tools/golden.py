@@ -67,6 +67,13 @@ def golden_runs(outdir, workdir):
              "--lambda-grid", "1e-6:1:4", "--format", "markdown", "--no-timing"],
             False,
         ),
+        # deltas small enough that the max path picks and skips runs of flagged atoms
+        (
+            "bench-flagged-runs",
+            ["bench", "sinc", *SINC_SMALL, "--sigma", "0.1,1", "--seeds", "2",
+             "--methods", "dtogl:max,togl:max", "--delta-grid", "1e-15:1e-9:4", "--no-timing"],
+            False,
+        ),
     ]
     runs += [
         (name, ["fit", "--method", method, *SINC_SMALL, "--sigma", "0.5", "--seed", "1"], True)
