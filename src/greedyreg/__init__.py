@@ -60,4 +60,4 @@ __all__ = [
     "zscore_fit_apply",
 ]
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -274,7 +274,7 @@ class _Walk:
         return True
 
     def _degenerate(self, atoms):
-        return clearly_degenerate(self.state, self.tree.dm.columns[:, atoms])
+        return clearly_degenerate(self.state, np.take(self.tree.dm.columns, atoms, axis=1))
 
 
 class MaxPath:
@@ -502,36 +502,38 @@ def predict(model: SparseModel, spec: RbfSpec, inputs, truncate_at=None) -> np.n
     return pred
 
 
-def prefix_predictions(trace: FitTrace, columns: np.ndarray, ks) -> dict:
-    """Predictions of the prefix models at the given iteration counts.
+def prefix_predictions(trace: FitTrace, columns: np.ndarray, ks) -> np.ndarray:
+    """Predictions of the prefix models at the given iteration counts, one row per count.
 
     ``columns`` is a raw design matrix evaluated wherever predictions are
-    wanted.  Counts beyond the fitted length reuse the final model, so a
-    projection trace solves each distinct prefix once, all in one call
-    of solve_coefficients.  Additive traces are accumulated in a single
-    pass.
+    wanted; row i of the C-contiguous result is the prediction of the
+    first ``ks[i]`` iterations.  Counts beyond the fitted length reuse
+    the final model, so a projection trace solves each distinct prefix
+    once, all in one call of solve_coefficients.  Additive traces are
+    accumulated in a single pass.
     """
-    ks = sorted({int(k) for k in ks})
-    out = {}
+    ks = [min(int(k), trace.k_fitted) for k in ks]
+    out = np.zeros((len(ks), columns.shape[0]))
+    first = {}  # prefix length -> the row that holds its prediction
+    for row, k in enumerate(ks):
+        first.setdefault(k, row)
     if trace.state is not None:
-        by_prefix = {0: np.zeros(columns.shape[0])}
-        solved = sorted({min(k, trace.k_fitted) for k in ks} - {0})
+        solved = sorted(set(first) - {0})
         if solved:
-            # one gather; each prefix's product reads its leading columns
+            # One gather; each prefix's product reads its leading columns.  A
+            # fancy index gathers them column-major, the layout whose bits the
+            # products keep (np.take would gather row-major).
             picked = columns[:, trace.selected[: solved[-1]]]
             to_raw = trace.dm.to_raw_coefficients
             for k, coefs in zip(solved, solve_coefficients(trace.state, solved)):
-                by_prefix[k] = picked[:, :k] @ to_raw(coefs, trace.selected[:k])
-        return {k: by_prefix[min(k, trace.k_fitted)] for k in ks}
-    pred = np.zeros(columns.shape[0])
-    wanted = set(ks)
-    if 0 in wanted:
-        out[0] = pred.copy()
-    for step in range(trace.k_fitted):
-        pred = pred + trace.increments[step] * columns[:, trace.selected[step]]
-        if step + 1 in wanted:
-            out[step + 1] = pred.copy()
-    for k in ks:
-        if k not in out:
-            out[k] = pred.copy()
+                np.matmul(picked[:, :k], to_raw(coefs, trace.selected[:k]), out=out[first[k]])
+    else:
+        pred = np.zeros(columns.shape[0])
+        for step in range(max(first, default=0)):
+            pred = pred + trace.increments[step] * columns[:, trace.selected[step]]
+            if step + 1 in first:
+                out[first[step + 1]] = pred
+    for row, k in enumerate(ks):
+        if first[k] != row:
+            out[row] = out[first[k]]
     return out

@@ -57,10 +57,15 @@ def _check_lam(lam: float):
 
 
 def fit_ridge(dm: DesignMatrix, y, lam: float) -> DenseModel:
-    """Closed-form ridge solution via a Cholesky solve of (G'G/m + lam I)."""
+    """Closed-form ridge solution via a Cholesky solve of (G'G/m + lam I).
+
+    Raises ValueError when no column of the design is live, as a lasso fit does.
+    """
     _check_lam(lam)
     y = np.asarray(y, dtype=float)
     check_target(y)
+    if not dm.live.any():
+        raise ValueError("no live columns")
     gram = dm.gram.copy()
     gram[np.diag_indices_from(gram)] += lam
     rhs = (dm.columns.T @ y) / dm.m

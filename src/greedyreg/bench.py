@@ -319,8 +319,15 @@ class _Run(NamedTuple):
             train_rmse * scale, sparsity, iterations, termination, seconds,
         )
 
-    def test_rmse(self, predictions):
-        return rmse(truncate_values(predictions, self.cell.bound), self.cell.y_test)
+    def test_rmses(self, block) -> list:
+        """The test RMSE of each row of a prediction block, which it overwrites.
+
+        Row by row, the arithmetic of rmse(truncate_values(row, bound), y_test).
+        """
+        truncate_values(block, self.cell.bound, out=block)
+        block -= self.cell.y_test
+        block *= block
+        return np.sqrt(np.add.reduce(block, axis=1) / block.shape[1]).tolist()
 
     def failed_row(self, param, exc):
         print(
@@ -333,25 +340,48 @@ class _Run(NamedTuple):
 
     def prefix_rows(self, grid, trace, seconds):
         """One row per requested k, all derived from a single capped fit."""
-        preds = algorithms.prefix_predictions(trace, self.cell.test_columns, grid)
+        fitted = sorted({min(k, trace.k_fitted) for k in grid})
+        block = algorithms.prefix_predictions(trace, self.cell.test_columns, fitted)
+        test_rmses = dict(zip(fitted, self.test_rmses(block)))
+        distinct, sparsity = set(), [0]  # distinct atoms of each prefix (pure greedy repeats)
+        for idx in trace.selected:
+            distinct.add(idx)
+            sparsity.append(len(distinct))
         rows = []
         for k in grid:
             k_eff = min(k, trace.k_fitted)
             train_res = trace.residual_norms[k_eff - 1] if k_eff else self.cell.y_norm
             termination = FIXED_K if k_eff < trace.k_fitted else trace.termination_reason
-            sparsity = len(set(trace.selected[:k_eff]))
-            test_rmse = self.test_rmse(preds[k])
-            rows.append(self.row(k, test_rmse, train_res, sparsity, k_eff, termination, seconds))
+            rows.append(
+                self.row(
+                    k, test_rmses[k_eff], train_res, sparsity[k_eff], k_eff, termination, seconds
+                )
+            )
+        return rows
+
+    def model_rows(self, fits):
+        """The rows of fits given as (param, trace, seconds), from one prediction block.
+
+        Every trace must be a prefix of the longest one, as the cuts of
+        one MaxPath are: the block solves each prefix as if alone.
+        """
+        longest = max((trace for _, trace, _ in fits), key=lambda trace: trace.k_fitted)
+        ks = sorted({trace.k_fitted for _, trace, _ in fits})
+        block = algorithms.prefix_predictions(longest, self.cell.test_columns, ks)
+        test_rmses = dict(zip(ks, self.test_rmses(block)))
+        rows = []
+        for param, trace, seconds in fits:
+            train_res = trace.residual_norms[-1] if trace.residual_norms else self.cell.y_norm
+            rows.append(
+                self.row(
+                    param, test_rmses[trace.k_fitted], train_res, trace.k_fitted,
+                    trace.iterations, trace.termination_reason, seconds,
+                )
+            )
         return rows
 
     def model_row(self, param, trace, seconds):
-        k = trace.k_fitted
-        pred = algorithms.prefix_predictions(trace, self.cell.test_columns, [k])[k]
-        train_res = trace.residual_norms[-1] if trace.residual_norms else self.cell.y_norm
-        return self.row(
-            param, self.test_rmse(pred), train_res, k, trace.iterations,
-            trace.termination_reason, seconds,
-        )
+        return self.model_rows([(param, trace, seconds)])[0]
 
     def dense_row(self, param, model, seconds):
         dm = self.cell.dm_fit
@@ -360,7 +390,7 @@ class _Run(NamedTuple):
         # A closed-form solve (no iterations) counts one iteration per atom.
         iterations = model.iterations_used or dm.n
         return self.row(
-            param, self.test_rmse(pred), train_res, model.sparsity(), iterations,
+            param, self.test_rmses(pred[None])[0], train_res, model.sparsity(), iterations,
             model.termination, seconds,
         )
 
@@ -390,30 +420,43 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
             seconds = result.seconds
         return result, seconds + extra
 
+    def failed(param, exc):
+        if not config.flag_failures:
+            raise exc
+        return run.failed_row(param, exc)
+
     if algo.grid == "k":
         try:
             trace, seconds = fit(max([1] + grid))
         except (ArithmeticError, ValueError) as exc:  # numerical failures: flagged rows
-            if not config.flag_failures:
-                raise
-            return [run.failed_row(k, exc) for k in grid]
+            return [failed(k, exc) for k in grid]
         return run.prefix_rows(grid, trace, seconds)
 
     make_row = run.model_row if algo.grid == "delta" else run.dense_row
-    rows, fitted = [], []
+    rows, fitted, cuts = [], [], []
     for param in grid:
         param = float(param)
         try:
-            # unnamed, so a trace and its QR factor are freed before the next fit
-            rows.append(make_row(param, *fit(param)))
+            if reads_path:
+                # the cuts share the path's factor: their rows come from one block below
+                cuts.append((param, *fit(param)))
+                rows.append(None)
+            else:
+                # unnamed, so a trace and its QR factor are freed before the next fit
+                rows.append(make_row(param, *fit(param)))
             fitted.append(len(rows) - 1)
         except (ArithmeticError, ValueError) as exc:
-            if not config.flag_failures:
-                raise
-            rows.append(run.failed_row(param, exc))
-    if algo.share is not None and not reads_path and fitted:
-        # A fit reads what the fits before it put in the tree or path, so its own
-        # clock depends on its place in the grid; each row carries the sweep's mean.
+            rows.append(failed(param, exc))
+    if cuts:
+        try:
+            made = run.model_rows(cuts)
+        except (ArithmeticError, ValueError) as exc:
+            made = [failed(param, exc) for param, _, _ in cuts]
+        for i, row in zip(fitted, made):
+            rows[i] = row
+    elif algo.share is not None and fitted:
+        # A fit reads what the fits before it put in the tree, so its own clock
+        # depends on its place in the grid; each row carries the sweep's mean.
         share = sum(rows[i].seconds for i in fitted) / len(fitted)
         for i in fitted:
             rows[i] = replace(rows[i], seconds=share)
@@ -488,14 +531,27 @@ class OracleRow:
     max_iter_rows: int = 0
 
 
-def _mean_se(values):
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if not np.isfinite(values).all():
-        return mean, float("inf")
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+def _group_stats(groups) -> list:
+    """Per group of rows of one size: (mean test, its SE, mean train, sparsity, seconds).
+
+    Each statistic of all the groups is one reduction along the rows of
+    a 2-D array, row by row the arithmetic of np.mean and np.std on the
+    group alone.  A group with a non-finite test RMSE has an infinite SE.
+    """
+    size = len(groups[0])
+    table = np.array(
+        [[(r.test_rmse, r.train_rmse, r.sparsity, r.seconds) for r in group] for group in groups]
+    )
+    table = np.ascontiguousarray(np.moveaxis(table, 2, 0))  # statistic, group, row
+    means = np.mean(table, axis=2)
+    test = table[0]
+    finite = np.isfinite(test).all(axis=1)
+    se = np.full(len(groups), np.inf)
+    if size < 2:
+        se[finite] = 0.0
+    else:
+        se[finite] = np.std(test[finite], axis=1, ddof=1) / np.sqrt(size)
+    return list(zip(means[0].tolist(), se.tolist(), *means[1:].tolist()))
 
 
 def oracle_select(rows) -> list:
@@ -508,31 +564,39 @@ def oracle_select(rows) -> list:
     grouped = {}
     for row in rows:
         grouped.setdefault((row.method, row.sigma, row.parameter), []).append(row)
+    by_size = {}
+    for key, group in grouped.items():
+        by_size.setdefault(len(group), []).append(key)
+    stats = {}
+    for keys in by_size.values():
+        stats.update(zip(keys, _group_stats([grouped[key] for key in keys])))
 
-    candidates = {}
-    for (method, sigma, param), cell_rows in grouped.items():
-        mean_test, se_test = _mean_se([r.test_rmse for r in cell_rows])
-        summary = OracleRow(
-            method=method,
-            sigma=sigma,
-            parameter=param,
-            mean_test_rmse=mean_test,
-            se_test_rmse=se_test,
-            mean_train_rmse=_mean_se([r.train_rmse for r in cell_rows])[0],
-            mean_sparsity=float(np.mean([r.sparsity for r in cell_rows])),
-            mean_seconds=float(np.mean([r.seconds for r in cell_rows])),
-            max_iter_rows=sum(r.termination == MAX_ITER for r in cell_rows),
+    best = {}  # (method, sigma) -> (order, key of its best group)
+    for key in grouped:
+        method, sigma, param = key
+        mean_test, _, _, mean_sparsity, _ = stats[key]
+        order = (mean_test, param, mean_sparsity)
+        if (method, sigma) not in best or order < best[method, sigma][0]:
+            best[method, sigma] = (order, key)
+
+    summaries = []
+    for _, key in best.values():
+        method, sigma, param = key
+        mean_test, se_test, mean_train, mean_sparsity, mean_seconds = stats[key]
+        summaries.append(
+            OracleRow(
+                method=method,
+                sigma=sigma,
+                parameter=param,
+                mean_test_rmse=mean_test,
+                se_test_rmse=se_test,
+                mean_train_rmse=mean_train,
+                mean_sparsity=mean_sparsity,
+                mean_seconds=mean_seconds,
+                max_iter_rows=sum(r.termination == MAX_ITER for r in grouped[key]),
+            )
         )
-        key = (method, sigma)
-        order = (mean_test, param, summary.mean_sparsity)
-        if key not in candidates or order < candidates[key][0]:
-            candidates[key] = (order, summary)
-
-    ordered = sorted(
-        candidates.values(),
-        key=lambda pair: (pair[1].method, _sigma_sort(pair[1].sigma)),
-    )
-    return [summary for _, summary in ordered]
+    return sorted(summaries, key=lambda summary: (summary.method, _sigma_sort(summary.sigma)))
 
 
 def _sigma_sort(sigma):

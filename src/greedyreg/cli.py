@@ -59,10 +59,13 @@ def _parse_k_grid(text):
     A listed value is not truncated here: ExperimentConfig.validate
     rejects a fractional k and names the grid.
     """
-    if ":" in text:
-        lo_text, hi_text = text.split(":")
-        return list(range(int(lo_text), int(hi_text) + 1))
-    return [float(part) for part in text.split(",") if part.strip()]
+    try:
+        if ":" in text:
+            lo_text, hi_text = text.split(":")
+            return list(range(int(lo_text), int(hi_text) + 1))
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"bad k grid {text!r}") from None
 
 
 def _parse_format(text):

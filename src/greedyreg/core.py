@@ -103,6 +103,27 @@ def validate_dataset(d: Dataset) -> Dataset:
     return d
 
 
+# Rows squared at a time by _sum_of_squares.
+_NORM_BLOCK = 64
+
+
+def _sum_of_squares(columns) -> np.ndarray:
+    """Each column's sum of squares, added row after row as np.sum(columns**2, axis=0) does.
+
+    Row 0 of a scratch block carries the running sum, from an exact 0,
+    and the rows below it take the squares of the next rows, so no
+    design-sized temporary is made.
+    """
+    m, n = columns.shape
+    scratch = np.zeros((_NORM_BLOCK + 1, n))
+    for start in range(0, m, _NORM_BLOCK):
+        rows = columns[start : start + _NORM_BLOCK]
+        block = scratch[: len(rows) + 1]
+        np.multiply(rows, rows, out=block[1:])
+        scratch[0] = np.add.reduce(block, axis=0)
+    return scratch[0].copy()
+
+
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Atoms evaluated at the training inputs, one column per atom.
@@ -135,7 +156,7 @@ class DesignMatrix:
     def from_columns(cls, columns) -> "DesignMatrix":
         """The raw design of ``columns``, which is copied unless it is handed over (_frozen_array)."""
         columns = _frozen_array(columns, ndim=2)
-        norms = np.sqrt(np.mean(columns**2, axis=0))
+        norms = np.sqrt(_sum_of_squares(columns) / columns.shape[0])
         norms.setflags(write=False)
         return cls(columns, norms, normalized=False)
 

@@ -75,11 +75,11 @@ def rmse(pred, truth) -> float:
     return empirical_norm(pred - truth)
 
 
-def truncate_values(values, bound: float) -> np.ndarray:
-    """Elementwise truncation of a prediction vector."""
+def truncate_values(values, bound: float, out=None) -> np.ndarray:
+    """Elementwise truncation of predictions, written into ``out`` when given."""
     if bound <= 0:
         raise NonPositiveBound(f"bound must be positive, got {bound}")
-    return np.clip(np.asarray(values, dtype=float), -bound, bound)
+    return np.clip(np.asarray(values, dtype=float), -bound, bound, out=out)
 
 
 class Append(NamedTuple):

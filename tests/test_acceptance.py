@@ -377,7 +377,7 @@ def test_criterion_7_invariant_suites():
 
         # truncation inequality on the benchmark predictions
         test_cols = evaluate_atoms(spec, test.inputs)
-        preds = prefix_predictions(trace, test_cols, [trace.k_fitted])[trace.k_fitted]
+        (preds,) = prefix_predictions(trace, test_cols, [trace.k_fitted])
         clipped = truncate_values(preds, bound)
         in_band = np.abs(test.targets) <= bound
         per_sample_ok = np.all(

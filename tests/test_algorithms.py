@@ -173,7 +173,7 @@ class TestFitPgl:
         eval_cols = cols
         p_pgl = prefix_predictions(t_pgl, eval_cols, range(k + 1))
         p_ogl = prefix_predictions(t_ogl, eval_cols, range(k + 1))
-        for kk in range(k + 1):
+        for kk in range(k + 1):  # row kk is the prefix of kk iterations
             np.testing.assert_allclose(p_pgl[kk], p_ogl[kk], atol=1e-8)
 
     def test_slower_than_ogl_on_correlated_atoms(self):
@@ -709,6 +709,29 @@ class TestMaxPath:
             fit_delta_togl(dm, y, delta, "max")
             assert seconds == clock[0] - start  # the selections the fit makes alone
 
+    def test_one_block_serves_the_cuts_of_a_delta_sweep(self, designs):
+        # each cut's atoms lead the longest cut's, and each prefix is solved as if alone
+        distinct = {}
+        for name, (dm, y, deltas) in designs.items():
+            path = MaxPath(dm, y)
+            test_columns = np.random.default_rng(dm.n).standard_normal((50, dm.n))
+            cuts, alone = [], []
+            for delta in deltas:
+                for cut in (
+                    fit_delta_togl(dm, y, delta, "max", None, path),
+                    fit_togl(dm, y, Criterion("max", delta), min(dm.n, 300), None, path),
+                ):
+                    cuts.append(cut)
+                    (pred,) = prefix_predictions(cut, test_columns, [cut.k_fitted])
+                    alone.append(pred)
+            longest = max(cuts, key=lambda cut: cut.k_fitted)
+            ks = [cut.k_fitted for cut in cuts]
+            block = prefix_predictions(longest, test_columns, ks)
+            for row, pred in zip(block, alone):
+                assert np.array_equal(row, pred)
+            distinct[name] = len(set(ks))
+        assert distinct["low rank"] > 2 and distinct["full rank"] > 2
+
     def test_serves_only_its_design_target_and_criterion(self, designs):
         dm, y, _ = designs["low rank"]
         path = MaxPath(dm, y)
@@ -750,8 +773,9 @@ class TestPrefixMachinery:
         y = rng.standard_normal(18)
         trace = fit_ogl(dm, y, Criterion("max"), 5)
         eval_cols = rng.standard_normal((6, 7))
-        preds = prefix_predictions(trace, eval_cols, [0, 2, 4, 99])
-        for k, pred in preds.items():
+        ks = [0, 2, 4, 99]
+        preds = prefix_predictions(trace, eval_cols, ks)
+        for k, pred in zip(ks, preds):
             model = trace.prefix_model(k)
             direct = (
                 eval_cols[:, list(model.selected)] @ model.coefficients
@@ -760,6 +784,22 @@ class TestPrefixMachinery:
             )
             np.testing.assert_array_equal(pred, direct)
 
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_prefix_predictions_are_one_row_per_count(self, additive):
+        rng = np.random.default_rng(17)
+        dm = _random_unit_design(rng, 18, 7)
+        dm = DesignMatrix(dm.columns, dm.column_norms, normalized=True)
+        y = rng.standard_normal(18)
+        trace = fit_pgl(dm, y, 9) if additive else fit_ogl(dm, y, Criterion("max"), 5)
+        eval_cols = rng.standard_normal((6, 7))
+        ks = [4, 0, 99, 2, 4, 1]
+        block = prefix_predictions(trace, eval_cols, ks)
+        assert block.shape == (len(ks), 6) and block.flags.c_contiguous
+        for k, row in zip(ks, block):
+            (alone,) = prefix_predictions(trace, eval_cols, [k])
+            assert np.array_equal(row, alone)
+        assert prefix_predictions(trace, eval_cols, []).shape == (0, 6)
+
     def test_prefix_predictions_match_models_additive(self):
         rng = np.random.default_rng(14)
         dm = _random_unit_design(rng, 15, 4)
@@ -767,8 +807,9 @@ class TestPrefixMachinery:
         y = rng.standard_normal(15)
         trace = fit_pgl(dm, y, 12)
         eval_cols = rng.standard_normal((5, 4))
-        preds = prefix_predictions(trace, eval_cols, [0, 1, 6, 12, 50])
-        for k, pred in preds.items():
+        ks = [0, 1, 6, 12, 50]
+        preds = prefix_predictions(trace, eval_cols, ks)
+        for k, pred in zip(ks, preds):
             model = trace.prefix_model(k)
             direct = (
                 eval_cols[:, list(model.selected)] @ model.coefficients

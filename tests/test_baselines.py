@@ -118,6 +118,12 @@ class TestRidge:
         with pytest.raises(ValueError):
             fit_ridge(dm, np.ones(3), lam)
 
+    def test_rejects_a_design_with_no_live_column(self):
+        # columns too small to normalize: every coefficient would be 0/0 in raw units
+        dm = _design(np.full((3, 2), 1e-300))
+        with pytest.raises(ValueError, match="no live columns"):
+            fit_ridge(dm, np.ones(3), 1e-3)
+
     def test_singular_gram_raises_factorization_failure(self):
         # duplicate columns: lam = 1e-300 vanishes beside the Gram's entries
         dm = _design(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))

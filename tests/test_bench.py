@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import os
 import time
 import tracemalloc
 import weakref
@@ -394,6 +396,86 @@ class TestOracleSelect:
     def test_empty_table(self):
         with pytest.raises(EmptyTable):
             oracle_select([])
+
+
+class TestRowsAsArrays:
+    """The report's array arithmetic keeps the bits of its one-row forms."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_grouped_statistics_match_per_group_numpy(self):
+        # sizes 8 and up take NumPy's pairwise sum; each group is its own method
+        rng = np.random.default_rng(5)
+        rows, expected = [], {}
+        for size in (1, 2, 7, 8, 10, 130):
+            for group in range(20):
+                method = f"m{size}-{group}"
+                test = rng.uniform(0.0, 2.0, size) * 10.0 ** rng.integers(-3, 3)
+                if group == 0:
+                    test[size // 2] = np.inf
+                train = rng.uniform(0.0, 1.0, size)
+                sparsity = rng.integers(0, 300, size).tolist()
+                seconds = rng.exponential(0.01, size)
+                for seed in range(size):
+                    rows.append(FitReport(method, 1.0, 0.5, seed, float(test[seed]),
+                                          float(train[seed]), sparsity[seed], 1, "fixed_k",
+                                          float(seconds[seed])))
+                if not np.isfinite(test).all():
+                    se = np.inf
+                elif size < 2:
+                    se = 0.0
+                else:
+                    se = float(np.std(test, ddof=1) / np.sqrt(size))
+                expected[method] = (
+                    float(np.mean(test)), se, float(np.mean(train)), float(np.mean(sparsity)),
+                    float(np.mean(seconds)),
+                )
+        got = {
+            s.method: (s.mean_test_rmse, s.se_test_rmse, s.mean_train_rmse, s.mean_sparsity,
+                       s.mean_seconds)
+            for s in oracle_select(rows)
+        }
+        assert got == expected
+        assert sum(value[1] == np.inf for value in got.values()) == 6
+
+    def test_block_rmse_matches_rmse_per_row(self):
+        from greedyreg.linalg import rmse, truncate_values
+
+        rng = np.random.default_rng(6)
+        y_test = rng.standard_normal(500)
+        block = 2.0 * rng.standard_normal((301, 500))  # some entries beyond the bound
+        cell = bench._Cell(None, None, None, 1.0, y_test, 1.5, 1.0, 0.0)
+        run = bench._Run(parse_method("ogl:max"), cell, 0.5, 0)
+        expected = [rmse(truncate_values(pred, 1.5), y_test) for pred in block]
+        assert run.test_rmses(block.copy()) == expected
+
+
+class TestProtocolRecord:
+    """tools/protocol.py counts each piece of fit work once in a method's fit_s."""
+
+    def test_max_cuts_count_the_path_clock_once_per_cell(self, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.setattr(os, "environ", dict(os.environ))  # it pins BLAS threads on import
+        monkeypatch.syspath_prepend(os.path.join(root, "tools"))
+        protocol = importlib.import_module("protocol")
+
+        def row(method, param, seed, seconds):
+            return FitReport(method, param, 0.1, seed, 0.1, 0.1, 3, 3, "fixed_k", seconds)
+
+        rows = []
+        for method in ("togl:max", "dtogl:max"):
+            # each cut carries the path's clock where it stops
+            rows += [row(method, 1e-3, 0, 0.5), row(method, 0.1, 0, 0.25),
+                     row(method, 1e-3, 1, 0.75), row(method, 0.1, 1, 0.125)]
+        # a k-sweep: every row carries its one fit's time
+        rows += [row("ogl:max", k, seed, seconds) for seed, seconds in ((0, 0.5), (1, 0.25))
+                 for k in range(3)]
+        # a FitTree sweep: every row carries the sweep's mean
+        rows += [row("dtogl:first", delta, seed, 0.125) for seed in (0, 1) for delta in (1e-3, 0.1)]
+        methods = protocol.per_method(rows)
+        assert {method: stats["fit_s"] for method, stats in methods.items()} == {
+            "dtogl:first": 0.5, "dtogl:max": 1.25, "ogl:max": 0.75, "togl:max": 1.25,
+        }
+        assert methods["ogl:max"]["rows"] == 6 and methods["dtogl:max"]["iterations"] == 12
 
 
 class TestUncertifiedPicks:

@@ -283,6 +283,10 @@ _BOUNDARY_CASES = [
     # empty lists: no noise level, no log grid
     (["bench", "sinc", *_SMALL, "--methods", "ridge", "--sigma", ""], 1),
     (["bench", "sinc", *_SMALL, "--methods", "dtogl:max", "--delta-grid", ""], 1),
+    # every atom dead (eta^2 = 1e-300): flagged ridge rows, no nan
+    (["bench", "sinc", *_SMALL, "--eta", "1e-150", "--methods", "ridge", "--sigma", "0.5",
+      "--lambda-grid", "1e-3:1e-1:2", "--no-timing"], 0),
+    (["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "0:1e300"], 1),
 ]
 
 
@@ -307,6 +311,11 @@ def test_numeric_boundaries(argv, code, capsys):
 def test_empty_list_is_named(flag, message, capsys):
     assert main(["bench", "sinc", *_SMALL, "--methods", "dtogl:max", flag, ""]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unparsable_k_grid_is_named(capsys):
+    assert main(["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "0:1e300"]) == 1
+    assert capsys.readouterr().err == "error: bad k grid '0:1e300'\n"
 
 
 def test_overflowing_target_flags_every_row(capsys):

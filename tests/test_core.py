@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,24 @@ class TestDesignMatrix:
         assert dm.column_norms[0] == pytest.approx(np.sqrt(12.5))
         assert dm.column_norms[1] == 0.0
         assert dm.live.tolist() == [True, False]
+
+    @pytest.mark.parametrize("shape", [(1, 5), (37, 11), (64, 3), (65, 3), (129, 7), (500, 1000)])
+    def test_norms_keep_the_bits_of_the_squared_mean(self, shape):
+        rng = np.random.default_rng(shape[0])
+        cols = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[1])
+        dm = DesignMatrix.from_columns(cols)
+        assert np.array_equal(dm.column_norms, np.sqrt(np.mean(cols**2, axis=0)))
+
+    def test_norms_need_no_design_sized_temporary(self):
+        cols = np.random.default_rng(0).standard_normal((500, 1000))
+        cols.setflags(write=False)  # handed over, so not copied
+        tracemalloc.start()
+        try:
+            DesignMatrix.from_columns(cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cols.nbytes / 4
 
     def test_norms_must_match_columns(self):
         with pytest.raises(LengthMismatch):

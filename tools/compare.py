@@ -2,7 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/compare.py PARENT_REV [--pairs N] [--workloads a,b] [--out FILE]
+    python3 tools/compare.py PARENT_REV [--pairs N] [--interleave N] [--workloads a,b]
+                             [--out FILE]
 
 Extracts PARENT_REV with ``git archive`` into a temporary directory and
 compares it with this checkout's working tree (the change):
@@ -15,13 +16,28 @@ compares it with this checkout's working tree (the change):
   each tree running its own perfbench from its own root.  Pair i uses
   seed i + 1, and the side that runs first alternates from pair to pair.
 
+* interleave: per workload, ``--interleave N`` more pairs of sweeps in two
+  long-lived processes, one per tree, each importing greedyreg through
+  ``tools/golden.py``'s ``import_src``.  Each prepares the workload's
+  argv once (seed 1, BLAS on one thread as in perfbench), runs one
+  untimed warm-up sweep, and then times one in-process
+  ``greedyreg.cli.main`` sweep per request.  Pair i asks the parent
+  first when i is even and the change first when it is odd.  Without
+  process start-up and import in every sample these pairs are far
+  steadier than fresh processes, but they see no ``setup_s`` or
+  ``peak_rss_mb``; the fresh-process pairs remain for those.
+
 Per end-to-end metric of BENCHMARK.json it prints the parent's and the
 change's median and quartiles, the change/parent ratio of the medians,
 the pairs in which the change was better, and whether the medians lie
-further apart than the parent's interquartile range.  One JSON record
-of all of it is the last line of output, and is written to ``--out``
-when given.  Exits 1 if the golden outputs differ or a run is not
-``correct``.  Uses the standard library only.
+further apart than the parent's interquartile range.  Per interleaved
+workload it prints the median and quartiles of the per-pair
+change/parent sweep-time ratio, the pairs in which the change was
+faster, and each side's fastest sweep.  One JSON record of all of it is
+the last line of output, and is written to ``--out`` when given.  Exits
+1 if the golden outputs differ, a run is not ``correct``, or an
+interleaved sweep fails or prints different bytes in the two trees.
+Uses the standard library only.
 """
 
 import argparse
@@ -36,9 +52,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIFF_LINES = 6
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+INTERLEAVE_SEED = 1
 
 
 def extract(rev, dest):
@@ -94,6 +113,97 @@ def perfbench(tree, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def serve(src, workload, seed):
+    """An interleave worker: one timed in-process sweep per line read from stdin.
+
+    Writes one JSON line per sweep: its wall seconds, exit code and the
+    SHA-256 of its stdout.
+    """
+    import contextlib
+    import hashlib
+
+    from golden import import_src, run_cli
+
+    problem = import_src(src)
+    if problem:
+        sys.exit(problem)
+    from perfbench.workloads import prepare
+
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = prepare(workload, seed, workdir)
+        with contextlib.redirect_stderr(io.StringIO()):
+            run_cli(argv)  # warm-up
+        print("ready", flush=True)
+        for _ in sys.stdin:
+            with contextlib.redirect_stderr(io.StringIO()):  # flagged and uncertified notes
+                start = time.perf_counter()
+                code, text = run_cli(argv)
+                seconds = time.perf_counter() - start
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            print(json.dumps({"seconds": seconds, "code": code, "sha256": digest}), flush=True)
+
+
+class Worker:
+    """A serve() process on one tree's source."""
+
+    def __init__(self, tree, workload, seed):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import compare; "
+                "compare.serve(sys.argv[2], sys.argv[3], int(sys.argv[4]))")
+        env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", code, os.path.join(ROOT, "tools"), os.path.join(tree, "src"),
+             workload, str(seed)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT,
+        )
+        self._expect("ready")
+
+    def _expect(self, what):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"interleave worker exited with {self.proc.wait()} before {what}")
+        return line
+
+    def sweep(self):
+        self.proc.stdin.write("go\n")
+        self.proc.stdin.flush()
+        return json.loads(self._expect("a result"))
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def interleave(trees, workload, pairs):
+    """The record of ``pairs`` (at least 1) alternating in-process sweeps of ``workload``."""
+    workers = {}
+    try:
+        for side, tree in trees.items():
+            workers[side] = Worker(tree, workload, INTERLEAVE_SEED)
+        runs = []
+        for i in range(pairs):
+            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            runs.append({side: workers[side].sweep() for side in sides})
+    finally:
+        for worker in workers.values():
+            worker.close()
+    parent = [run["parent"]["seconds"] for run in runs]
+    change = [run["change"]["seconds"] for run in runs]
+    ratios = [c / p for p, c in zip(parent, change)]
+    median, q1, q3 = spread(ratios)
+    return {
+        "seed": INTERLEAVE_SEED,
+        "parent": parent,
+        "change": change,
+        "parent_min": min(parent),
+        "change_min": min(change),
+        "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
+        "pairs_faster": sum(ratio < 1.0 for ratio in ratios),
+        "pairs": pairs,
+        "ok": all(run["parent"]["code"] == run["change"]["code"] == 0
+                  and run["parent"]["sha256"] == run["change"]["sha256"] for run in runs),
+    }
+
+
 def spread(values):
     """(median, q1, q3) of ``values``."""
     if len(values) < 2:
@@ -126,11 +236,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--interleave", type=int, default=0, metavar="N",
+                        help="also N in-process pairs per workload (default: none)")
     parser.add_argument("--workloads", help="comma list (default: every BENCHMARK.json workload)")
     parser.add_argument("--out", help="also write the JSON record to this file")
     args = parser.parse_args(argv)
-    if args.pairs < 0:
-        parser.error("--pairs must be >= 0")
+    if args.pairs < 0 or args.interleave < 0:
+        parser.error("--pairs and --interleave must be >= 0")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
@@ -152,7 +264,8 @@ def main(argv=None):
             for line in lines:
                 print(f"    {line}")
 
-        record = {"parent": commit, "pairs": args.pairs, "seconds": seconds,
+        record = {"parent": commit, "pairs": args.pairs, "interleave": args.interleave,
+                  "seconds": seconds,
                   "golden_diff": diffs, "workloads": {}}
         all_correct = True
         for workload in workloads:
@@ -181,6 +294,17 @@ def main(argv=None):
                 )
             print(f"{workload:12s} correct: parent {sum(correct['parent'])}/{len(pairs)}, "
                   f"change {sum(correct['change'])}/{len(pairs)}")
+            if args.interleave:
+                inter = interleave(trees, workload, args.interleave)
+                record["workloads"][workload]["interleave"] = inter
+                all_correct &= inter["ok"]
+                print(
+                    f"{workload:12s} interleaved sweep_s ratio {inter['ratio_median']:.3f} "
+                    f"[{inter['ratio_q1']:.3f}, {inter['ratio_q3']:.3f}]  change faster "
+                    f"{inter['pairs_faster']}/{inter['pairs']}  min parent "
+                    f"{inter['parent_min']:.4g} change {inter['change_min']:.4g}  outputs "
+                    f"{'identical' if inter['ok'] else 'DIFFER or failed'}"
+                )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -13,13 +13,23 @@ to import greedyreg from, as in ``tools/golden.py``, so one script can
 record two trees.  BLAS runs on one thread unless the environment says
 otherwise, as in the benchmark.
 
-The record holds the wall time of the run, and per method the summed fit
+The record holds the wall time of the run, and per method the fit
 seconds, rows, iterations and terminations, plus the SHA-256 of the
-``--no-timing`` report.  A k-sweep's rows all come from one fit and carry
-its time, so such a method counts one fit per (sigma, seed) cell; every
-other method sums its rows' seconds (a row that shares a sweep carries
-the sweep's mean, so the sum is the sweep's time).  A change that keeps
-the report's bytes keeps the hash.  Uses the standard library only.
+``--no-timing`` report.  ``fit_s`` counts each piece of work once:
+
+* a k-sweep's rows all come from one fit and carry its time, so it
+  counts one fit per (sigma, seed) cell;
+* a max-criterion delta sweep's rows are cuts of the cell's one max
+  path, each carrying the path's clock where it stops, so the clocks
+  overlap and it counts the largest per cell: the path's clock at its
+  furthest stop;
+* every other method sums its rows' seconds (a row that shares a sweep
+  carries the sweep's mean, so the sum is the sweep's time).
+
+Records written before this rule summed the max cuts' clocks; their
+``fit_s`` for ``togl:max`` and ``dtogl:max`` overstates the work and may
+exceed ``wall_s``.  A change that keeps the report's bytes keeps the
+hash.  Uses the standard library only.
 """
 
 import argparse
@@ -74,11 +84,11 @@ def run_protocol(methods, seeds):
 
 
 def per_method(rows):
-    """Summed fit seconds, rows, iterations and terminations of each method."""
+    """Fit seconds (see the module docstring), rows, iterations and terminations per method."""
     from greedyreg.bench import parse_method
 
     fit_seconds = defaultdict(float)
-    counted_cells = set()
+    cell_seconds = {}  # (method, sigma, seed) -> the largest clock of a cell's rows
     summary = {}
     for row in rows:
         stats = summary.setdefault(
@@ -87,12 +97,14 @@ def per_method(rows):
         stats["rows"] += 1
         stats["iterations"] += row.iterations
         stats["terminations"][row.termination] += 1
-        if parse_method(row.method).grid == "k":
+        method = parse_method(row.method)
+        if method.grid == "k" or method.reads_path:
             cell = (row.method, row.sigma, row.seed)
-            if cell in counted_cells:
-                continue
-            counted_cells.add(cell)
-        fit_seconds[row.method] += row.seconds
+            cell_seconds[cell] = max(cell_seconds.get(cell, 0.0), row.seconds)
+        else:
+            fit_seconds[row.method] += row.seconds
+    for (method, _, _), seconds in cell_seconds.items():
+        fit_seconds[method] += seconds
     for method, stats in summary.items():
         stats["fit_s"] = fit_seconds[method]
         stats["terminations"] = dict(sorted(stats["terminations"].items()))
