@@ -112,9 +112,6 @@ class FitTrace:
                 coefs.append(inc)
         return SparseModel(tuple(atoms), np.array(coefs))
 
-    def final_model(self) -> SparseModel:
-        return self.prefix_model(self.k_fitted)
-
 
 class _Node:
     """One residual of a FitTree: the residual after a selected prefix."""

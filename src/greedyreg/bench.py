@@ -176,7 +176,8 @@ def parse_method(text: str) -> MethodSpec:
     return MethodSpec(text, None, param)
 
 
-_GRID_VALUES = {
+_LIST_VALUES = {
+    "seeds": ("integers >= 0", lambda seed: seed >= 0 and float(seed).is_integer()),
     "k_grid": ("integers >= 0", lambda k: k >= 0 and float(k).is_integer()),
     "delta_grid": ("in (0, 1)", lambda delta: 0 < delta < 1),
     "lambda_grid": ("finite and > 0", lambda lam: 0 < lam < np.inf),
@@ -222,13 +223,23 @@ class ExperimentConfig:
             raise ValueError("csv task requires a path")
         if not self.normalize_atoms and any(m.algorithm == "pgl" for m in self.methods):
             raise ValueError("pgl requires column-normalized atoms; drop --raw-atoms")
-        for grid_name, (wanted, ok) in _GRID_VALUES.items():
-            grid = getattr(self, grid_name)
-            if grid is not None and len(grid) == 0:
-                raise ValueError(f"{grid_name} must be nonempty")
-            bad = [value for value in grid or () if not ok(value)]
+        for name, (wanted, ok) in _LIST_VALUES.items():
+            values = getattr(self, name)
+            if values is not None and len(values) == 0:
+                raise ValueError(f"{name} must be nonempty")
+            bad = [value for value in values or () if not ok(value)]
             if bad:
-                raise ValueError(f"{grid_name} values must be {wanted}, got {bad[0]:g}")
+                raise ValueError(f"{name} values must be {wanted}, got {bad[0]:g}")
+        # a repeat would be aggregated as if it were another sample
+        lists = {name: getattr(self, name) or () for name in _LIST_VALUES}
+        lists.update(methods=[method.label for method in self.methods], sigmas=self.sigmas)
+        for name, values in lists.items():
+            seen = set()
+            for value in values:
+                if value in seen:
+                    shown = f"{value:g}" if isinstance(value, float) else value
+                    raise ValueError(f"{name} lists {shown} twice")
+                seen.add(value)
         return self
 
 
@@ -338,50 +349,27 @@ class _Run(NamedTuple):
         inf = float("inf")
         return self.row(param, inf, inf, 0, 0, f"error:{type(exc).__name__}", 0.0)
 
-    def prefix_rows(self, grid, trace, seconds):
-        """One row per requested k, all derived from a single capped fit."""
-        fitted = sorted({min(k, trace.k_fitted) for k in grid})
-        block = algorithms.prefix_predictions(trace, self.cell.test_columns, fitted)
-        test_rmses = dict(zip(fitted, self.test_rmses(block)))
+    def greedy_rows(self, trace, facts):
+        """One row per (param, k, iterations, termination, seconds) fact about a prefix of ``trace``.
+
+        Every row's test RMSE comes from one prediction block of the
+        distinct k's; the block solves each prefix as if alone, so the
+        cuts of one MaxPath, all prefixes of its longest cut, share it.
+        """
+        ks = sorted({k for _, k, _, _, _ in facts})
+        block = algorithms.prefix_predictions(trace, self.cell.test_columns, ks)
+        test_rmses = dict(zip(ks, self.test_rmses(block)))
         distinct, sparsity = set(), [0]  # distinct atoms of each prefix (pure greedy repeats)
-        for idx in trace.selected:
+        for idx in trace.selected[: ks[-1]]:
             distinct.add(idx)
             sparsity.append(len(distinct))
-        rows = []
-        for k in grid:
-            k_eff = min(k, trace.k_fitted)
-            train_res = trace.residual_norms[k_eff - 1] if k_eff else self.cell.y_norm
-            termination = FIXED_K if k_eff < trace.k_fitted else trace.termination_reason
-            rows.append(
-                self.row(
-                    k, test_rmses[k_eff], train_res, sparsity[k_eff], k_eff, termination, seconds
-                )
+        return [
+            self.row(
+                param, test_rmses[k], trace.residual_norms[k - 1] if k else self.cell.y_norm,
+                sparsity[k], iterations, termination, seconds,
             )
-        return rows
-
-    def model_rows(self, fits):
-        """The rows of fits given as (param, trace, seconds), from one prediction block.
-
-        Every trace must be a prefix of the longest one, as the cuts of
-        one MaxPath are: the block solves each prefix as if alone.
-        """
-        longest = max((trace for _, trace, _ in fits), key=lambda trace: trace.k_fitted)
-        ks = sorted({trace.k_fitted for _, trace, _ in fits})
-        block = algorithms.prefix_predictions(longest, self.cell.test_columns, ks)
-        test_rmses = dict(zip(ks, self.test_rmses(block)))
-        rows = []
-        for param, trace, seconds in fits:
-            train_res = trace.residual_norms[-1] if trace.residual_norms else self.cell.y_norm
-            rows.append(
-                self.row(
-                    param, test_rmses[trace.k_fitted], train_res, trace.k_fitted,
-                    trace.iterations, trace.termination_reason, seconds,
-                )
-            )
-        return rows
-
-    def model_row(self, param, trace, seconds):
-        return self.model_rows([(param, trace, seconds)])[0]
+            for param, k, iterations, termination, seconds in facts
+        ]
 
     def dense_row(self, param, model, seconds):
         dm = self.cell.dm_fit
@@ -430,28 +418,41 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
             trace, seconds = fit(max([1] + grid))
         except (ArithmeticError, ValueError) as exc:  # numerical failures: flagged rows
             return [failed(k, exc) for k in grid]
-        return run.prefix_rows(grid, trace, seconds)
+        facts = []
+        for k in grid:
+            k_eff = min(k, trace.k_fitted)
+            termination = FIXED_K if k_eff < trace.k_fitted else trace.termination_reason
+            facts.append((k, k_eff, k_eff, termination, seconds))
+        return run.greedy_rows(trace, facts)
 
-    make_row = run.model_row if algo.grid == "delta" else run.dense_row
+    def fit_row(param):
+        """The row of one fit, or None for a cut, whose row waits for the sweep's block.
+
+        Any other trace and its QR factor are freed on return, before the next fit.
+        """
+        result, seconds = fit(param)
+        if algo.grid == "lambda":
+            return run.dense_row(param, result, seconds)
+        fact = (param, result.k_fitted, result.iterations, result.termination_reason, seconds)
+        if reads_path:
+            cuts.append((fact, result))
+            return None
+        return run.greedy_rows(result, [fact])[0]
+
     rows, fitted, cuts = [], [], []
     for param in grid:
         param = float(param)
         try:
-            if reads_path:
-                # the cuts share the path's factor: their rows come from one block below
-                cuts.append((param, *fit(param)))
-                rows.append(None)
-            else:
-                # unnamed, so a trace and its QR factor are freed before the next fit
-                rows.append(make_row(param, *fit(param)))
+            rows.append(fit_row(param))
             fitted.append(len(rows) - 1)
         except (ArithmeticError, ValueError) as exc:
             rows.append(failed(param, exc))
     if cuts:
+        longest = max((trace for _, trace in cuts), key=lambda trace: trace.k_fitted)
         try:
-            made = run.model_rows(cuts)
+            made = run.greedy_rows(longest, [fact for fact, _ in cuts])
         except (ArithmeticError, ValueError) as exc:
-            made = [failed(param, exc) for param, _, _ in cuts]
+            made = [failed(fact[0], exc) for fact, _ in cuts]
         for i, row in zip(fitted, made):
             rows[i] = row
     elif algo.share is not None and fitted:

@@ -27,15 +27,21 @@ from .bench import (
 from .core import FitReport
 
 
-def _parse_float_list(text):
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_noise_levels(text):
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"bad noise levels {text!r}") from None
 
 
 def _parse_seeds(text):
-    text = text.strip()
-    if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
-    return list(range(int(text)))
+    """A count N (seeds 0..N-1) or a comma list of seeds."""
+    try:
+        if "," in text:
+            return [int(part) for part in text.split(",") if part.strip()]
+        return list(range(int(text)))
+    except ValueError:
+        raise ValueError(f"bad seeds {text!r}") from None
 
 
 def _parse_log_grid(text):
@@ -68,6 +74,16 @@ def _parse_k_grid(text):
         raise ValueError(f"bad k grid {text!r}") from None
 
 
+def _normalize_target(text):
+    """'last', a column index, or a column name."""
+    if text != "last":
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _parse_format(text):
     if text not in ("csv", "markdown"):
         raise ValueError(f"unknown format {text!r}; expected csv or markdown")
@@ -93,7 +109,7 @@ def _load_config_file(path):
 
 def _common_bench_flags(parser):
     parser.add_argument("--methods", help="comma list, e.g. ogl:max,dtogl:first")
-    parser.add_argument("--seeds", help="count (0..N-1) or comma list", default=None)
+    parser.add_argument("--seeds", help="count (0..N-1) or comma list")
     parser.add_argument("--k-grid", dest="k_grid", help="lo:hi or comma list")
     parser.add_argument("--delta-grid", dest="delta_grid", help="lo:hi:count (log)")
     parser.add_argument("--lambda-grid", dest="lambda_grid", help="lo:hi:count (log)")
@@ -109,7 +125,7 @@ def _common_bench_flags(parser):
         help="write zero seconds (byte-identical reruns)",
     )
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "markdown"), default=None)
+    parser.add_argument("--format", choices=("csv", "markdown"))
     parser.add_argument("--config", help="key=value file supplying any of the above")
 
 
@@ -121,29 +137,29 @@ def build_parser():
     tasks = bench_cmd.add_subparsers(dest="task", required=True)
 
     sinc_cmd = tasks.add_parser("sinc", help="synthetic sinc benchmark")
-    sinc_cmd.add_argument("--m-train", dest="m_train", type=int, default=None)
-    sinc_cmd.add_argument("--m-test", dest="m_test", type=int, default=None)
-    sinc_cmd.add_argument("--n", type=int, default=None)
+    sinc_cmd.add_argument("--m-train", dest="m_train", type=int)
+    sinc_cmd.add_argument("--m-test", dest="m_test", type=int)
+    sinc_cmd.add_argument("--n", type=int)
     sinc_cmd.add_argument("--sigma", help="comma list of noise levels")
-    sinc_cmd.add_argument("--eta", type=float, default=None)
+    sinc_cmd.add_argument("--eta", type=float)
     _common_bench_flags(sinc_cmd)
 
     csv_cmd = tasks.add_parser("csv", help="real dataset from a CSV file")
     csv_cmd.add_argument("--path", help="CSV file with numeric cells")
-    csv_cmd.add_argument("--target", default=None, help="'last', index, or column name")
+    csv_cmd.add_argument("--target", help="'last', index, or column name")
     csv_cmd.add_argument("--no-header", action="store_true")
     _common_bench_flags(csv_cmd)
 
     fit_cmd = commands.add_parser("fit", help="single run, prints the fit report")
-    fit_cmd.add_argument("--task", choices=("sinc", "csv"), default="sinc")
+    fit_cmd.add_argument("--task", choices=("sinc", "csv"))
     fit_cmd.add_argument("--method", required=True, help="e.g. dtogl:first@1e-4, ogl:max@9")
-    fit_cmd.add_argument("--m-train", dest="m_train", type=int, default=1000)
-    fit_cmd.add_argument("--m-test", dest="m_test", type=int, default=1000)
-    fit_cmd.add_argument("--n", type=int, default=300)
+    fit_cmd.add_argument("--m-train", dest="m_train", type=int)
+    fit_cmd.add_argument("--m-test", dest="m_test", type=int)
+    fit_cmd.add_argument("--n", type=int)
     fit_cmd.add_argument("--sigma", type=float, default=0.1)
-    fit_cmd.add_argument("--eta", type=float, default=1.0)
+    fit_cmd.add_argument("--eta", type=float)
     fit_cmd.add_argument("--path", help="CSV path for --task csv")
-    fit_cmd.add_argument("--target", default="last")
+    fit_cmd.add_argument("--target")
     fit_cmd.add_argument("--no-header", action="store_true")
     fit_cmd.add_argument("--seed", type=int, default=0)
     fit_cmd.add_argument("--raw-atoms", action="store_true")
@@ -156,21 +172,23 @@ def build_parser():
     return parser
 
 
+# Each option a config file may set: its text parser, and the ExperimentConfig
+# field it sets (None for the CLI's own).
 _CONFIG_PARSERS = {
-    "m_train": int,
-    "m_test": int,
-    "n": int,
-    "eta": float,
-    "sigma": _parse_float_list,
-    "methods": str,
-    "seeds": str,
-    "k_grid": _parse_k_grid,
-    "delta_grid": _parse_log_grid,
-    "lambda_grid": _parse_log_grid,
-    "path": str,
-    "target": str,
-    "out": str,
-    "format": _parse_format,
+    "m_train": (int, "m_train"),
+    "m_test": (int, "m_test"),
+    "n": (int, "n"),
+    "eta": (float, "eta"),
+    "sigma": (_parse_noise_levels, "sigmas"),
+    "methods": (str, None),
+    "seeds": (_parse_seeds, "seeds"),
+    "k_grid": (_parse_k_grid, "k_grid"),
+    "delta_grid": (_parse_log_grid, "delta_grid"),
+    "lambda_grid": (_parse_log_grid, "lambda_grid"),
+    "path": (str, "csv_path"),
+    "target": (_normalize_target, "target_column"),
+    "out": (str, None),
+    "format": (_parse_format, None),
 }
 
 
@@ -179,10 +197,29 @@ def _merged_option(args, file_values, key, default=None):
     value = getattr(args, key, None)
     if value is None:
         value = file_values.get(key, default)
-    return _CONFIG_PARSERS[key](value) if isinstance(value, str) else value
+    return _CONFIG_PARSERS[key][0](value) if isinstance(value, str) else value
 
 
-def _bench_config(args, opt) -> ExperimentConfig:
+def _experiment_config(args, file_values, **fields) -> ExperimentConfig:
+    """The validated config of ``fields`` and of each option a flag or the config file set.
+
+    A field given in ``fields`` wins over its option; an option set
+    neither way keeps ExperimentConfig's default.
+    """
+    for key, (_, name) in _CONFIG_PARSERS.items():
+        value = _merged_option(args, file_values, key) if name else None
+        if value is not None:
+            fields.setdefault(name, value)
+    if args.task is not None:
+        fields["task"] = args.task
+    return ExperimentConfig(
+        normalize_atoms=not args.raw_atoms, header=not getattr(args, "no_header", False), **fields
+    ).validate()
+
+
+def _cmd_bench(args) -> int:
+    file_values = _load_config_file(args.config) if args.config else {}
+    opt = functools.partial(_merged_option, args, file_values)
     methods_text = opt("methods")
     if not methods_text:
         raise ValueError("--methods is required (e.g. ogl:max,dtogl:first)")
@@ -193,45 +230,9 @@ def _bench_config(args, opt) -> ExperimentConfig:
                 f"bench sweeps a grid; drop '@{method.param:g}' from {method.label} "
                 f"and set --{method.grid}-grid instead"
             )
-
-    config = ExperimentConfig(
-        task=args.task,
-        methods=methods,
-        seeds=_parse_seeds(opt("seeds", "1")),
-        normalize_atoms=not args.raw_atoms,
-        k_grid=opt("k_grid"),
-        delta_grid=opt("delta_grid"),
-        lambda_grid=opt("lambda_grid"),
-        include_materialization=args.include_materialization,
+    config = _experiment_config(
+        args, file_values, methods=methods, include_materialization=args.include_materialization
     )
-    if args.task == "sinc":
-        config.m_train = opt("m_train", 1000)
-        config.m_test = opt("m_test", 1000)
-        config.n = opt("n", 300)
-        config.eta = opt("eta", ExperimentConfig.eta)
-        sigmas = opt("sigma")
-        if sigmas is not None:
-            config.sigmas = sigmas
-    else:
-        config.csv_path = opt("path")
-        config.target_column = _normalize_target(opt("target", "last"))
-        config.header = not args.no_header
-    return config.validate()
-
-
-def _normalize_target(value):
-    if isinstance(value, str) and value != "last":
-        try:
-            return int(value)
-        except ValueError:
-            return value
-    return value
-
-
-def _cmd_bench(args) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    opt = functools.partial(_merged_option, args, file_values)
-    config = _bench_config(args, opt)
     out, fmt, timing = opt("out"), opt("format", "csv"), not args.no_timing
     rows = sweep(config)
     if out:
@@ -246,23 +247,12 @@ def _cmd_fit(args) -> int:
     method = parse_method(args.method)
     if method.param is None:
         raise ValueError("fit needs a parameter, e.g. ogl:max@9 or ridge@0.01")
-    config = ExperimentConfig(
-        task=args.task,
-        methods=[method],
-        seeds=[args.seed],
-        m_train=args.m_train,
-        m_test=args.m_test,
-        n=args.n,
-        sigmas=[args.sigma],
-        eta=args.eta,
-        csv_path=args.path,
-        target_column=_normalize_target(args.target),
-        header=not args.no_header,
-        normalize_atoms=not args.raw_atoms,
-        flag_failures=False,
+    # one cell: the noise level and seed are fit's own flags
+    config = _experiment_config(
+        args, {}, methods=[method], seeds=[args.seed], sigmas=[args.sigma],
+        flag_failures=False, **{f"{method.grid}_grid": [method.param]},
     )
-    setattr(config, f"{method.grid}_grid", [method.param])
-    row = sweep(config.validate())[0]
+    row = sweep(config)[0]
     for field in dataclasses.fields(FitReport):
         print(f"{field.name}: {getattr(row, field.name)}")
     return 0

@@ -200,7 +200,7 @@ class TestFitPgl:
         y = np.array([1.0, 2.0])
         trace = fit_pgl(dm, y, 30)
         assert len(set(trace.selected)) < len(trace.selected)
-        model = trace.final_model()
+        model = trace.prefix_model(trace.k_fitted)
         assert model.sparsity == len(set(trace.selected))
 
 
@@ -397,7 +397,8 @@ class TestFitTree:
             assert _trace_facts(shared) == _trace_facts(alone)
             assert np.array_equal(shared.state.residual, alone.state.residual)
             assert np.array_equal(
-                shared.final_model().coefficients, alone.final_model().coefficients
+                shared.prefix_model(shared.k_fitted).coefficients,
+                alone.prefix_model(alone.k_fitted).coefficients,
             )
             skips += shared.degenerate_skips
         assert skips > 0
@@ -648,7 +649,10 @@ class TestMaxPath:
     def _check(fit, path, reasons):
         cut, alone = fit(path), fit(None)
         assert _all_fields(cut) == _all_fields(alone)
-        assert np.array_equal(cut.final_model().coefficients, alone.final_model().coefficients)
+        assert np.array_equal(
+            cut.prefix_model(cut.k_fitted).coefficients,
+            alone.prefix_model(alone.k_fitted).coefficients,
+        )
         assert alone.seconds is None and cut.seconds >= 0.0
         reasons.add((cut.termination_reason, cut.degenerate_skips > 0))
         return cut.iterations
@@ -826,17 +830,19 @@ class TestPrefixMachinery:
         trace = fit_ogl(dm, train.targets, Criterion("max"), 40)
         assert trace.k_fitted > 16
         for k in range(1, trace.k_fitted + 1):
-            alone = fit_ogl(dm, train.targets, Criterion("max"), k).final_model()
-            assert np.array_equal(trace.prefix_model(k).coefficients, alone.coefficients)
+            alone = fit_ogl(dm, train.targets, Criterion("max"), k)
+            assert np.array_equal(
+                trace.prefix_model(k).coefficients, alone.prefix_model(alone.k_fitted).coefficients
+            )
 
     def test_prefix_model_ignores_later_target_edits(self):
         rng = np.random.default_rng(23)
         dm = _random_unit_design(rng, 20, 6)
         y = rng.standard_normal(20)
         trace = fit_ogl(dm, y, Criterion("max"), 3)
-        before = trace.final_model().coefficients
+        before = trace.prefix_model(trace.k_fitted).coefficients
         y[:] = 0.0
-        assert np.array_equal(trace.final_model().coefficients, before)
+        assert np.array_equal(trace.prefix_model(trace.k_fitted).coefficients, before)
 
     def test_prefix_model_zero(self):
         rng = np.random.default_rng(15)

@@ -1,5 +1,7 @@
 import dataclasses
+import glob
 import importlib
+import json
 import os
 import time
 import tracemalloc
@@ -452,12 +454,16 @@ class TestRowsAsArrays:
 class TestProtocolRecord:
     """tools/protocol.py counts each piece of fit work once in a method's fit_s."""
 
-    def test_max_cuts_count_the_path_clock_once_per_cell(self, monkeypatch):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        monkeypatch.setattr(os, "environ", dict(os.environ))  # it pins BLAS threads on import
-        monkeypatch.syspath_prepend(os.path.join(root, "tools"))
-        protocol = importlib.import_module("protocol")
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+    @classmethod
+    def _protocol(cls, monkeypatch):
+        monkeypatch.setattr(os, "environ", dict(os.environ))  # it pins BLAS threads on import
+        monkeypatch.syspath_prepend(os.path.join(cls.ROOT, "tools"))
+        return importlib.import_module("protocol")
+
+    @staticmethod
+    def _rows():
         def row(method, param, seed, seconds):
             return FitReport(method, param, 0.1, seed, 0.1, 0.1, 3, 3, "fixed_k", seconds)
 
@@ -471,11 +477,31 @@ class TestProtocolRecord:
                  for k in range(3)]
         # a FitTree sweep: every row carries the sweep's mean
         rows += [row("dtogl:first", delta, seed, 0.125) for seed in (0, 1) for delta in (1e-3, 0.1)]
-        methods = protocol.per_method(rows)
+        return rows
+
+    def test_max_cuts_count_the_path_clock_once_per_cell(self, monkeypatch):
+        methods = self._protocol(monkeypatch).per_method(self._rows())
         assert {method: stats["fit_s"] for method, stats in methods.items()} == {
             "dtogl:first": 0.5, "dtogl:max": 1.25, "ogl:max": 0.75, "togl:max": 1.25,
         }
         assert methods["ogl:max"]["rows"] == 6 and methods["dtogl:max"]["iterations"] == 12
+
+    def test_each_method_names_its_rule_and_old_records_keep_their_keys(self, monkeypatch):
+        methods = self._protocol(monkeypatch).per_method(self._rows())
+        assert {method: stats["fit_s_rule"] for method, stats in methods.items()} == {
+            "dtogl:first": "row sum",
+            "dtogl:max": "largest path clock per cell",
+            "ogl:max": "one fit per cell",
+            "togl:max": "largest path clock per cell",
+        }
+        new_keys = set(methods["ogl:max"])
+        records = glob.glob(os.path.join(self.ROOT, "PROTOCOL_*.json"))
+        assert records
+        for path in records:
+            with open(path, encoding="utf-8") as fh:
+                old = json.load(fh)
+            for stats in old["methods"].values():
+                assert set(stats) | {"fit_s_rule"} == new_keys, path
 
 
 class TestUncertifiedPicks:

@@ -287,6 +287,20 @@ _BOUNDARY_CASES = [
     (["bench", "sinc", *_SMALL, "--eta", "1e-150", "--methods", "ridge", "--sigma", "0.5",
       "--lambda-grid", "1e-3:1e-1:2", "--no-timing"], 0),
     (["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "0:1e300"], 1),
+    # a repeated list entry: two rows aggregated as if they were two samples
+    (["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "2", "--sigma", "0.5,0.5",
+      "--seeds", "1", "--no-timing"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "2", "--seeds", "1,1"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ogl:max,ogl:max", "--k-grid", "2"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "dtogl,dtogl:first"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "2,2"], 1),
+    # seeds and noise levels that do not parse, and negative seeds
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--seeds", "x"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--seeds", "1.5"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--seeds", ""], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--sigma", "0.1,x"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--seeds", "0,-2"], 1),
+    (["fit", "--method", "ridge@1e-3", *_SMALL, "--seed", "-1"], 1),
 ]
 
 
@@ -311,6 +325,45 @@ def test_numeric_boundaries(argv, code, capsys):
 def test_empty_list_is_named(flag, message, capsys):
     assert main(["bench", "sinc", *_SMALL, "--methods", "dtogl:max", flag, ""]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _no_sweep(config):
+    raise AssertionError("sweep ran")
+
+
+_ONE_K = ["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([*_ONE_K, "--sigma", "0.5,0.5"], "sigmas lists 0.5 twice"),
+        ([*_ONE_K, "--seeds", "1,1"], "seeds lists 1 twice"),
+        ([*_ONE_K, "--methods", "ogl:max,ogl:max"], "methods lists ogl:max twice"),
+        ([*_ONE_K, "--methods", "dtogl,dtogl:first"], "methods lists dtogl:first twice"),
+        ([*_ONE_K, "--k-grid", "2,2"], "k_grid lists 2 twice"),
+        ([*_ONE_K, "--seeds", "x"], "bad seeds 'x'"),
+        ([*_ONE_K, "--seeds", "1.5"], "bad seeds '1.5'"),
+        ([*_ONE_K, "--seeds", ""], "bad seeds ''"),
+        ([*_ONE_K, "--sigma", "0.1,x"], "bad noise levels '0.1,x'"),
+        ([*_ONE_K, "--seeds", "0,-2"], "seeds values must be integers >= 0, got -2"),
+        (["fit", "--method", "ridge@1e-3", *_SMALL, "--seed", "-1"],
+         "seeds values must be integers >= 0, got -1"),
+    ],
+)
+def test_bad_list_is_named_before_any_cell_runs(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", _no_sweep)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_file_values_parse_as_flags_do(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", _no_sweep)
+    config = tmp_path / "run.cfg"
+    for line, message in (("seeds=x", "bad seeds 'x'"), ("sigma=0.1,x", "bad noise levels '0.1,x'")):
+        config.write_text(f"methods=ridge\n{line}\n", encoding="utf-8")
+        assert main(["bench", "sinc", *_SMALL, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unparsable_k_grid_is_named(capsys):

@@ -195,7 +195,7 @@ def test_prediction_invariance_between_raw_and_normalized():
     # same selection order is forced by using the same criterion on the
     # normalized ranking: run the raw fit over pre-scaled columns instead
     trace_norm = fit_ogl(norm, y, Criterion("max"), 5)
-    model_norm = trace_norm.final_model()
+    model_norm = trace_norm.prefix_model(trace_norm.k_fitted)
 
     pred_eval = predict(model_norm, spec, x_eval)
     direct = evaluate_atoms(spec, x_eval)[:, list(model_norm.selected)] @ model_norm.coefficients

@@ -39,13 +39,25 @@ FITS = {
     "fit-ridge": "ridge@1e-3",
     "fit-fista": "fista@1e-3",
 }
+# read by bench-config-file; keys with dashes and with underscores
+BENCH_CONFIG = """\
+m-train=200
+m_test=150
+n=60
+sigma=0.1,1
+seeds=2
+methods=ogl:max,dtogl:first,ridge
+delta-grid=1e-4:0.3:5
+lambda-grid=1e-6:1:4
+"""
 
 
 def golden_runs(outdir, workdir):
     """(name, argv, drop the seconds line) for every golden configuration, in run order."""
     from perfbench.workloads import WORKLOADS, prepare
 
-    runs = [(f"workload-{name}", prepare(name, 0, workdir), False) for name in WORKLOADS]
+    workloads = {name: prepare(name, 0, workdir) for name in WORKLOADS}
+    runs = [(f"workload-{name}", argv, False) for name, argv in workloads.items()]
     runs += [
         (
             "bench-all-methods",
@@ -78,6 +90,19 @@ def golden_runs(outdir, workdir):
     runs += [
         (name, ["fit", "--method", method, *SINC_SMALL, "--sigma", "0.5", "--seed", "1"], True)
         for name, method in FITS.items()
+    ]
+    config_path = os.path.join(workdir, "bench.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(BENCH_CONFIG)
+    csv_argv = workloads["csv-greedy"]
+    runs += [
+        ("bench-config-file", ["bench", "sinc", "--config", config_path, "--no-timing"], False),
+        (
+            "fit-csv",
+            ["fit", "--task", "csv", "--path", csv_argv[csv_argv.index("--path") + 1],
+             "--target", "2", "--method", "dtogl:first@1e-3", "--seed", "1"],
+            True,
+        ),
     ]
     return runs
 

@@ -26,7 +26,10 @@ seconds, rows, iterations and terminations, plus the SHA-256 of the
 * every other method sums its rows' seconds (a row that shares a sweep
   carries the sweep's mean, so the sum is the sweep's time).
 
-Records written before this rule summed the max cuts' clocks; their
+Each method's ``fit_s_rule`` names the rule it took: ``one fit per
+cell``, ``largest path clock per cell`` or ``row sum``.  Records written
+before 0.14.0 have no ``fit_s_rule`` and otherwise the same keys.
+Records written before 0.13.0 summed the max cuts' clocks; their
 ``fit_s`` for ``togl:max`` and ``dtogl:max`` overstates the work and may
 exceed ``wall_s``.  A change that keeps the report's bytes keeps the
 hash.  Uses the standard library only.
@@ -83,26 +86,37 @@ def run_protocol(methods, seeds):
     return argv, wall, out.getvalue(), captured[0]
 
 
-def per_method(rows):
-    """Fit seconds (see the module docstring), rows, iterations and terminations per method."""
+def fit_s_rule(label):
+    """The rule by which ``fit_s`` counts the method ``label`` (see the module docstring)."""
     from greedyreg.bench import parse_method
 
+    method = parse_method(label)
+    if method.grid == "k":
+        return "one fit per cell"
+    if method.reads_path:
+        return "largest path clock per cell"
+    return "row sum"
+
+
+def per_method(rows):
+    """Fit seconds and their rule, rows, iterations and terminations per method."""
     fit_seconds = defaultdict(float)
     cell_seconds = {}  # (method, sigma, seed) -> the largest clock of a cell's rows
     summary = {}
     for row in rows:
         stats = summary.setdefault(
-            row.method, {"rows": 0, "iterations": 0, "terminations": Counter()}
+            row.method,
+            {"rows": 0, "iterations": 0, "terminations": Counter(),
+             "fit_s_rule": fit_s_rule(row.method)},
         )
         stats["rows"] += 1
         stats["iterations"] += row.iterations
         stats["terminations"][row.termination] += 1
-        method = parse_method(row.method)
-        if method.grid == "k" or method.reads_path:
+        if stats["fit_s_rule"] == "row sum":
+            fit_seconds[row.method] += row.seconds
+        else:
             cell = (row.method, row.sigma, row.seed)
             cell_seconds[cell] = max(cell_seconds.get(cell, 0.0), row.seconds)
-        else:
-            fit_seconds[row.method] += row.seconds
     for (method, _, _), seconds in cell_seconds.items():
         fit_seconds[method] += seconds
     for method, stats in summary.items():
