@@ -452,7 +452,6 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
     y_norm = check_target(y)
     residual = y.copy()
     residual_norm = y_norm
-    scales = dm.scales()
     selected, increments = [], []
     residual_norms, selected_corrs = [], []
     reason = None
@@ -470,7 +469,7 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
             reason = NO_ACTIVE_ATOM
             break
         selected.append(idx)
-        increments.append(step / scales[idx])
+        increments.append(step / dm.column_norms[idx])
         selected_corrs.append(abs(step) / residual_norm)
         residual = residual - step * dm.columns[:, idx]
         residual_norm = empirical_norm(residual)

@@ -249,9 +249,6 @@ class LassoPath:
                 # z's rows become the iterate's, and x's are free for the next z
                 x_halves, z_halves = z_halves, x_halves
                 objectives, gaps = objectives_z, gaps_z
-            elif not any(accepted):
-                mg *= t / t_next
-                mg += xg
             else:
                 weights = [(t - 1.0) / t_next if a else t / t_next for a in accepted]
                 mg *= np.array(weights + weights)[:, None]

@@ -458,6 +458,15 @@ class TestGramCache:
         with pytest.raises(ValueError):
             dm.gram[0, 0] = 1.0
 
+    @pytest.mark.parametrize("m, n", [(60, 60), (40, 13), (300, 250), (200, 700)])
+    def test_aligned_and_bit_equal_to_the_plain_product(self, m, n):
+        dm = _random_design(np.random.default_rng(n), m, n)
+        gram = dm.gram
+        assert gram.ctypes.data % 64 == 0
+        assert gram.flags.c_contiguous and not gram.flags.writeable
+        plain = (dm.columns.T @ dm.columns) / dm.m
+        assert gram.tobytes() == plain.tobytes()
+
 
 def test_dense_model_rejects_nonfinite():
     with pytest.raises(ValueError):

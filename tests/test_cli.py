@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -301,6 +302,11 @@ _BOUNDARY_CASES = [
     (["bench", "sinc", *_SMALL, "--methods", "ridge", "--sigma", "0.1,x"], 1),
     (["bench", "sinc", *_SMALL, "--methods", "ridge", "--seeds", "0,-2"], 1),
     (["fit", "--method", "ridge@1e-3", *_SMALL, "--seed", "-1"], 1),
+    # a count or range that would expand past any memory: refused before it is built
+    (["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "0:1000000000000000000"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "ridge", "--seeds", "1000000000000000000"], 1),
+    (["bench", "sinc", *_SMALL, "--methods", "dtogl:max",
+      "--delta-grid", "1e-6:0.5:1000000000000000000"], 1),
 ]
 
 
@@ -349,6 +355,10 @@ _ONE_K = ["bench", "sinc", *_SMALL, "--methods", "ogl:max", "--k-grid", "2"]
         ([*_ONE_K, "--seeds", "0,-2"], "seeds values must be integers >= 0, got -2"),
         (["fit", "--method", "ridge@1e-3", *_SMALL, "--seed", "-1"],
          "seeds values must be integers >= 0, got -1"),
+        ([*_ONE_K, "--seeds", "1000000000000000000"], "bad seeds '1000000000000000000'"),
+        ([*_ONE_K, "--k-grid", "0:1000000000000000000"], "bad k grid '0:1000000000000000000'"),
+        ([*_ONE_K, "--lambda-grid", "1e-6:0.5:1000000000000000000"],
+         "bad log grid '1e-6:0.5:1000000000000000000'"),
     ],
 )
 def test_bad_list_is_named_before_any_cell_runs(argv, message, capsys, monkeypatch):
@@ -364,6 +374,21 @@ def test_config_file_values_parse_as_flags_do(tmp_path, capsys, monkeypatch):
         config.write_text(f"methods=ridge\n{line}\n", encoding="utf-8")
         assert main(["bench", "sinc", *_SMALL, "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "parse, at_ceiling, above",
+    [
+        (cli._parse_seeds, str(cli._MAX_EXPANDED), str(cli._MAX_EXPANDED + 1)),
+        (cli._parse_k_grid, f"5:{cli._MAX_EXPANDED + 4}", f"5:{cli._MAX_EXPANDED + 5}"),
+        (cli._parse_log_grid, f"1e-6:0.5:{cli._MAX_EXPANDED}", f"1e-6:0.5:{cli._MAX_EXPANDED + 1}"),
+    ],
+    ids=["seeds", "k-grid", "log-grid"],
+)
+def test_expanded_list_stops_at_the_ceiling(parse, at_ceiling, above):
+    assert len(parse(at_ceiling)) == cli._MAX_EXPANDED
+    with pytest.raises(ValueError, match=f"^bad .* '{above}'$"):
+        parse(above)
 
 
 def test_unparsable_k_grid_is_named(capsys):
@@ -434,3 +459,105 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _command_parser(*names):
+    parser = cli.build_parser()
+    for name in names:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = commands.choices[name]
+    return parser
+
+
+_GRIDS = {"--methods", "--seeds", "--k-grid", "--delta-grid", "--lambda-grid"}
+_BENCH_SWITCHES = {"--raw-atoms", "--include-materialization", "--no-timing"}
+# per command: the options that take a value, and the on/off flags
+_OPTION_SURFACE = {
+    ("bench", "sinc"): (
+        {"--m-train", "--m-test", "--n", "--sigma", "--eta", *_GRIDS, "--out", "--format",
+         "--config"},
+        _BENCH_SWITCHES,
+    ),
+    ("bench", "csv"): (
+        {"--path", "--target", *_GRIDS, "--out", "--format", "--config"},
+        {"--no-header", *_BENCH_SWITCHES},
+    ),
+    ("fit",): (
+        {"--task", "--method", "--m-train", "--m-test", "--n", "--sigma", "--eta", "--path",
+         "--target", "--seed"},
+        {"--no-header", "--raw-atoms"},
+    ),
+    ("report",): ({"--in", "--format", "--out"}, set()),
+}
+
+
+@pytest.mark.parametrize("command", _OPTION_SURFACE, ids=" ".join)
+def test_option_surface(command):
+    actions = [a for a in _command_parser(*command)._actions if "--help" not in a.option_strings]
+    assert all(len(action.option_strings) == 1 for action in actions)
+    values = {a.option_strings[0] for a in actions if a.nargs != 0}
+    switches = {a.option_strings[0] for a in actions if a.nargs == 0}
+    assert (values, switches) == _OPTION_SURFACE[command]
+
+
+# a valid value for every value option of bench but --config
+_CONFIG_VALUES = {
+    "m-train": "50", "m-test": "20", "n": "10", "sigma": "0.1,0.5", "eta": "2",
+    "methods": "ridge", "seeds": "3", "k-grid": "2", "delta-grid": "1e-3:0.1:2",
+    "lambda-grid": "1e-3:0.1:4", "path": "data.csv", "target": "1", "out": "out.csv",
+    "format": "markdown",
+}
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("task", ["sinc", "csv"])
+def test_config_file_takes_every_value_option_of_bench(task, tmp_path, monkeypatch):
+    sinc_values, _ = _OPTION_SURFACE[("bench", "sinc")]
+    csv_values, _ = _OPTION_SURFACE[("bench", "csv")]
+    assert {f"--{key}" for key in _CONFIG_VALUES} == (sinc_values | csv_values) - {"--config"}
+    configs = []
+
+    def reach(config):
+        configs.append(config)
+        raise _Reached
+
+    monkeypatch.setattr(cli, "sweep", reach)
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in _CONFIG_VALUES.items()), encoding="utf-8")
+    with pytest.raises(_Reached):
+        main(["bench", task, "--config", str(config)])
+    (got,) = configs
+    assert (got.task, got.m_train, got.m_test, got.n, got.eta) == (task, 50, 20, 10, 2.0)
+    assert (got.sigmas, got.seeds, got.k_grid) == ([0.1, 0.5], [0, 1, 2], [2.0])
+    assert (len(got.delta_grid), len(got.lambda_grid)) == (2, 4)
+    assert (got.csv_path, got.target_column) == ("data.csv", 1)
+
+
+@pytest.mark.parametrize(
+    "flag", sorted(_BENCH_SWITCHES | {"--no-header", "--config"}), ids=lambda flag: flag
+)
+def test_config_file_rejects_on_off_flags(flag, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag[2:]}=1\n", encoding="utf-8")
+    assert main(["bench", "csv", "--config", str(config)]) == 1
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {config}:1: unknown key '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "sinc", "--methods", "ridge", "--m-train", "1.5"],
+        ["bench", "sinc", "--methods", "ridge", "--format", "html"],
+        ["fit", "--method", "ridge@0.1", "--sigma", "x"],
+    ],
+    ids=" ".join,
+)
+def test_bad_flag_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error: argument" in capsys.readouterr().err

@@ -83,11 +83,6 @@ class TestDesignMatrix:
         with pytest.raises(LengthMismatch):
             DesignMatrix(np.ones((3, 2)), np.ones(3))
 
-    def test_raw_scales_are_ones(self):
-        dm = DesignMatrix.from_columns(np.array([[3.0], [4.0]]))
-        assert dm.scales().tolist() == [1.0]
-        np.testing.assert_allclose(dm.to_raw_coefficients([2.0]), [2.0])
-
 
 class TestSparseModel:
     def test_duplicate_indices_rejected(self):

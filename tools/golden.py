@@ -50,6 +50,14 @@ methods=ogl:max,dtogl:first,ridge
 delta-grid=1e-4:0.3:5
 lambda-grid=1e-6:1:4
 """
+# read by bench-csv-config-file, after a path= line naming the csv-greedy workload's file
+CSV_CONFIG = """\
+target=last
+methods=ogl:max,dtogl:first,ridge
+delta-grid=1e-4:0.3:3
+lambda-grid=1e-4:1:3
+seeds=1
+"""
 
 
 def golden_runs(outdir, workdir):
@@ -95,14 +103,20 @@ def golden_runs(outdir, workdir):
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(BENCH_CONFIG)
     csv_argv = workloads["csv-greedy"]
+    csv_path = csv_argv[csv_argv.index("--path") + 1]
+    csv_config_path = os.path.join(workdir, "bench-csv.cfg")
+    with open(csv_config_path, "w", encoding="utf-8") as fh:
+        fh.write(f"path={csv_path}\n{CSV_CONFIG}")
     runs += [
         ("bench-config-file", ["bench", "sinc", "--config", config_path, "--no-timing"], False),
         (
             "fit-csv",
-            ["fit", "--task", "csv", "--path", csv_argv[csv_argv.index("--path") + 1],
+            ["fit", "--task", "csv", "--path", csv_path,
              "--target", "2", "--method", "dtogl:first@1e-3", "--seed", "1"],
             True,
         ),
+        ("bench-csv-config-file", ["bench", "csv", "--config", csv_config_path, "--no-timing"],
+         False),
     ]
     return runs
 
