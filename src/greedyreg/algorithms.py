@@ -9,7 +9,9 @@ QR factor, solved for a prefix's coefficients only when one is read.
 Orthogonal fits of one target that select the same atoms share their
 appends and correlations through a FitTree, so a threshold sweep pays
 for each distinct prefix once.  The max fits of one target need no
-tree: each is a cut of one unthresholded path (MaxPath).
+tree: each is a cut of one unthresholded path (MaxPath).  Pure greedy
+computes exactly only the correlations that a certified low-rank sketch
+of the design cannot rule out (_PglSketch).
 """
 
 import time
@@ -68,7 +70,8 @@ class FitTrace:
     columns that were skipped; ``atoms_scanned`` counts the
     atom-residual correlations the selection computed (not those it
     read from a FitTree that an earlier fit filled; a cut of a MaxPath
-    counts those its stretch of the path computed).  ``seconds`` is the
+    counts those its stretch of the path computed; pure greedy counts
+    those it computed exactly, not its sketch's bounds).  ``seconds`` is the
     fit's own clock when it keeps one (a MaxPath cut), else None.
     """
 
@@ -437,12 +440,129 @@ def fit_delta_togl(
     )
 
 
+# Pure greedy's sketch (_PglSketch): the width of its range basis; the widest
+# block of atoms one of its products covers, a tail temporary or an exact
+# block short of the whole dictionary (capped like greedy's scan blocks, so
+# that the product runs on the calling thread and keeps the full product's
+# bits); and the largest tail, as a fraction of its atom's norm, with which
+# the basis is kept.
+_SKETCH_RANK = 32
+_SKETCH_BLOCK = 256
+_SKETCH_TAIL = 1e-4
+
+
+class _PglSketch:
+    """Which correlations a pure greedy step must compute exactly to pick its atom.
+
+    Once per fit, a range basis ``U`` (m by p, orthonormal, from a QR of
+    ``columns @ Ω`` with a fixed random Ω, uniform in [-1/2, 1/2);
+    Halko, Martinsson & Tropp 2011) gives each atom a_j its coordinates
+    b_j = Uᵀa_j and its tail τ_j = ‖a_j − U b_j‖.  At a residual r,
+    t_j = b_jᵀ(Uᵀr) is within (τ_j + c_m ‖a_j‖) ‖r‖ of the product a_jᵀr
+    that the full scan computes, so an atom whose bound on |t_j| stays
+    below another atom's lower bound cannot be the pick, nor tie it (a
+    safe screening rule, El Ghaoui, Viallon & Rabbani 2012).  Each step
+    computes exactly only the aligned blocks of atoms that may be the
+    pick; on the BLAS this was tested with, such a block's product
+    equals those entries of the full product bit for bit (see
+    greedy.py), so the pick and its step are the full scan's.  Ω sets
+    only how many atoms are computed, never which one is picked.
+
+    The rounding margin c_m.  With u the unit roundoff, γ_k = ku/(1 − ku),
+    p ≤ m the basis width, products summed in any order (so a length-k
+    dot is within γ_k |x|ᵀ|y| of its value), and ‖U‖₂ ≤ 2 (a Householder
+    Q is orthonormal to O(m p^1.5 u), Higham 2002 §19.3), so that
+    ‖U‖_F ≤ 2√p and the computed ‖b_j‖ ≤ 3‖a_j‖, the identity
+    a_jᵀr = b_jᵀ(Uᵀr) + (a_j − U b_j)ᵀr bounds each error in ‖a_j‖‖r‖:
+
+    * the full scan's product itself: γ_m;
+    * Uᵀr computed: 3‖a_j‖ · γ_m ‖U‖_F ‖r‖, that is 6√p γ_m;
+    * t_j from the computed Uᵀr: γ_p ‖b_j‖ ‖Uᵀr‖, at most 7 γ_p;
+    * the computed tail against ‖a_j − U b_j‖: U b_j within
+      γ_p ‖U‖_F ‖b_j‖ = 6√p γ_p, the subtraction 8u, the norm's sum of
+      squares and square root γ_(m+2) τ_j ≤ γ_(m+2) (a kept tail is below
+      ‖a_j‖), and ‖r‖ taken from the empirical norm γ_(m+3);
+    * forming the bounds and then dividing the products by m: 8u, which
+      also keeps a ruled-out atom strictly below the pick after the
+      division, so that it cannot tie.
+
+    With γ_p ≤ γ_m ≤ γ_(m+3) and 8u ≤ 2 γ_(m+3), these sum to at most
+    (12√p + 14) γ_(m+3), which c_m takes, and at least 1e-12.
+
+    The basis pays only on a design of low numerical rank.  Where some
+    live atom's tail exceeds _SKETCH_TAIL of its norm, the bounds would
+    rule out few atoms, so the sketch drops its basis as soon as its
+    tails show this and every step computes the whole dictionary, the
+    full scan it replaces; the sketch's cost is then the one-time
+    product and QR and the tails of one block.  Dead atoms get zero
+    coordinates and radius, so they never crowd out a live pick.
+    """
+
+    def __init__(self, dm: DesignMatrix):
+        columns, (m, n) = dm.columns, dm.columns.shape
+        self.n = n
+        omega = np.random.default_rng(0).random((n, _SKETCH_RANK)) - 0.5
+        basis, _ = np.linalg.qr(columns @ omega)
+        p = basis.shape[1]
+        coords = np.empty((p, n))
+        radii = np.empty(n)
+        u = np.finfo(float).eps / 2
+        gamma = (m + 3) * u / (1 - (m + 3) * u)
+        margin = max(1e-12, (12 * np.sqrt(p) + 14) * gamma)
+        self.basis = None  # no basis: every step computes every atom
+        for start in range(0, n, _SKETCH_BLOCK):
+            block = columns[:, start : start + _SKETCH_BLOCK]
+            b = np.matmul(basis.T, block, out=coords[:, start : start + _SKETCH_BLOCK])
+            tail = basis @ b
+            np.subtract(block, tail, out=tail)
+            tails = np.sqrt(np.einsum("ij,ij->j", tail, tail))
+            norms = np.sqrt(np.einsum("ij,ij->j", block, block))
+            live = dm.live[start : start + _SKETCH_BLOCK]
+            if np.any(tails[live] > _SKETCH_TAIL * norms[live]):
+                return
+            radii[start : start + _SKETCH_BLOCK] = np.where(live, tails + margin * norms, 0.0)
+        coords[:, ~dm.live] = 0.0
+        # per unit of the residual's empirical norm, ‖r‖/√m
+        self.basis, self.coords, self.radii = basis, coords, radii * np.sqrt(m)
+
+    def blocks(self, residual, residual_norm: float) -> list:
+        """The (start, stop) ranges of atoms whose correlations decide the pick at ``residual``.
+
+        Each starts at a multiple of 4 and is a multiple of 4 wide or ends
+        the dictionary; without a basis it is the one range (0, n).
+        """
+        if self.basis is None:
+            return [(0, self.n)]
+        bound = np.abs(self.coords.T @ (self.basis.T @ residual))
+        radius = self.radii * residual_norm
+        floor = (bound - radius).max()  # the largest lower bound
+        bound += radius
+        runs = []  # [first, last + 1] quads of 4 atoms, merged where they touch
+        for quad in (np.flatnonzero(bound >= floor) // 4).tolist():
+            if runs and quad <= runs[-1][1]:
+                runs[-1][1] = quad + 1
+            else:
+                runs.append([quad, quad + 1])
+        n = self.n
+        if runs == [[0, -(-n // 4)]]:
+            return [(0, n)]
+        quads = _SKETCH_BLOCK // 4  # per block
+        return [
+            (4 * quad, min(4 * (quad + quads), 4 * end, n))
+            for first, end in runs
+            for quad in range(first, end, quads)
+        ]
+
+
 def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
     """Pure greedy fit: one correlation-scaled atom per step, no projection.
 
     Requires unit-empirical-norm columns (the step size is the plain
     inner product).  Atoms may be selected repeatedly; increments for the
-    same atom accumulate.
+    same atom accumulate.  Each step picks the atom of largest |inner
+    product| with the residual (ties to the lowest index), computing
+    exactly only the atoms that a _PglSketch cannot rule out; the trace
+    is the full scan's bit for bit.
     """
     if not dm.normalized:
         raise ValueError("pure greedy requires a column-normalized design")
@@ -450,21 +570,27 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
         raise ValueError("k_max must be >= 1")
     y = np.asarray(y, dtype=float)
     y_norm = check_target(y)
+    sketch = _PglSketch(dm)
+    dead = ~dm.live
     residual = y.copy()
     residual_norm = y_norm
     selected, increments = [], []
     residual_norms, selected_corrs = [], []
     reason = None
-    scans = 0
+    scanned = 0
     for _ in range(k_max):
         if residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
             reason = ZERO_RESIDUAL
             break
-        scans += 1
-        inner = (dm.columns.T @ residual) / dm.m
-        inner[~dm.live] = 0.0
-        idx = int(np.argmax(np.abs(inner)))
-        step = float(inner[idx])
+        idx, step = 0, 0.0
+        for start, stop in sketch.blocks(residual, residual_norm):
+            inner = (dm.columns[:, start:stop].T @ residual) / dm.m
+            inner[dead[start:stop]] = 0.0
+            best = int(np.argmax(np.abs(inner)))
+            value = float(inner[best])
+            if abs(value) > abs(step):
+                idx, step = start + best, value
+            scanned += stop - start
         if step == 0.0:
             reason = NO_ACTIVE_ATOM
             break
@@ -477,7 +603,7 @@ def fit_pgl(dm: DesignMatrix, y, k_max: int) -> FitTrace:
     if reason is None:
         reason = FIXED_K
     return FitTrace(
-        selected, increments, residual_norms, selected_corrs, reason, len(selected), scans * dm.n
+        selected, increments, residual_norms, selected_corrs, reason, len(selected), scanned
     )
 
 

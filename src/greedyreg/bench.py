@@ -232,7 +232,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} values must be {wanted}, got {bad[0]:g}")
         # a repeat would be aggregated as if it were another sample
         lists = {name: getattr(self, name) or () for name in _LIST_VALUES}
-        lists.update(methods=[method.label for method in self.methods], sigmas=self.sigmas)
+        lists["methods"] = [method.label for method in self.methods]
+        if self.task == "sinc":  # a csv sweep reads no noise levels
+            lists["sigmas"] = self.sigmas
         for name, values in lists.items():
             seen = set()
             for value in values:

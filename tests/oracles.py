@@ -36,6 +36,38 @@ def naive_omp(columns, y, k_max):
     return selected, prefix_coefs
 
 
+def full_scan_pgl(columns, live, column_norms, y, k_max):
+    """Pure greedy as first written: every step computes all n inner products.
+
+    Dead atoms count as 0; the step is the largest |<residual, g_j>_m|
+    (ties to the lowest index), and a zero step stops the fit.  Returns
+    (selected, increments, residual norms, selected correlations, stop
+    reason, correlations computed), the reasons as the library names them.
+    """
+    m, n = columns.shape
+    residual = np.array(y, dtype=float)
+    y_norm = residual_norm = float(np.sqrt(np.mean(residual**2)))
+    selected, increments, norms, corrs = [], [], [], []
+    computed = 0
+    for _ in range(k_max):
+        if residual_norm < 1e-12 * y_norm:
+            return selected, increments, norms, corrs, "zero_residual", computed
+        inner = (columns.T @ residual) / m
+        computed += n
+        inner[~live] = 0.0
+        idx = int(np.argmax(np.abs(inner)))
+        step = float(inner[idx])
+        if step == 0.0:
+            return selected, increments, norms, corrs, "no_active_atom", computed
+        selected.append(idx)
+        increments.append(step / column_norms[idx])
+        corrs.append(abs(step) / residual_norm)
+        residual = residual - step * columns[:, idx]
+        residual_norm = float(np.sqrt(np.mean(residual**2)))
+        norms.append(residual_norm)
+    return selected, increments, norms, corrs, "fixed_k", computed
+
+
 def coordinate_descent_lasso(columns, y, lam, max_cycles=50000, tol=1e-13):
     """Cyclic coordinate minimization of (1/2m)||y - Ga||^2 + lam ||a||_1."""
     m, n = columns.shape

@@ -54,7 +54,7 @@ def _random_unit_design(rng, m, n):
     return _unit_design(rng.standard_normal((m, n)))
 
 
-from oracles import correlations, naive_omp
+from oracles import correlations, full_scan_pgl, naive_omp
 
 
 class TestFitOgl:
@@ -202,6 +202,138 @@ class TestFitPgl:
         assert len(set(trace.selected)) < len(trace.selected)
         model = trace.prefix_model(trace.k_fitted)
         assert model.sparsity == len(set(trace.selected))
+
+
+def _sinc_design(n, eta, m=200, seed=5):
+    rng = np.random.default_rng(seed)
+    train, _ = gen_sinc(m, 10, 0.3, rng)
+    spec = build_rbf_uniform(n, -np.pi, np.pi, eta, rng)
+    return normalize_columns(evaluate_design(spec, train.inputs)), train.targets
+
+
+class TestScreenedPgl:
+    """fit_pgl computes exactly only the atoms that its sketch cannot rule out,
+    and its trace is a full scan's (tests/oracles.py) field for field."""
+
+    @staticmethod
+    def _check(dm, y, k_max):
+        """The trace, checked against the full scan, and the full scan's step count."""
+        trace = fit_pgl(dm, y, k_max)
+        *fields, computed = full_scan_pgl(dm.columns, dm.live, dm.column_norms, y, k_max)
+        got = [trace.selected, trace.increments, trace.residual_norms,
+               trace.selected_correlations, trace.termination_reason]
+        assert got == fields
+        assert trace.iterations == len(trace.selected)
+        return trace, computed // dm.n
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["sinc-greedy", "csv-greedy"])
+    def test_benchmark_designs(self, benchmark_designs, which):
+        dm, y = benchmark_designs[which]
+        trace, steps = self._check(dm, y, 100)
+        if which == 0:
+            # numerical rank about 25 of 1000 atoms: a few exact correlations per
+            # step (4 on the BLAS this was written on), never a full scan
+            assert algorithms._PglSketch(dm).basis is not None
+            assert trace.atoms_scanned <= 8 * steps
+        else:
+            # full rank: no basis, every step is the full scan
+            assert algorithms._PglSketch(dm).basis is None
+            assert trace.atoms_scanned == steps * dm.n
+
+    def test_dead_columns_are_never_picked(self):
+        dm, y = _low_rank_design()  # 300 dead columns, then 300 live low-rank ones
+        assert algorithms._PglSketch(dm).basis is not None
+        trace, steps = self._check(dm, y, 40)
+        assert min(trace.selected) >= 300 and trace.atoms_scanned < steps * dm.n
+
+    def test_duplicate_columns_tie_to_the_lowest_index(self):
+        base, _ = _sinc_design(120, 1.0)
+        columns = base.columns.copy()
+        columns[:, 40] = columns[:, 8]
+        dm = DesignMatrix(columns, base.column_norms, normalized=True)
+        y = 2.0 * columns[:, 8] + 0.01 * np.random.default_rng(6).standard_normal(dm.m)
+        inner = columns.T @ y
+        assert inner[8] == inner[40] and np.argmax(np.abs(inner)) == 8  # an exact tie
+        assert algorithms._PglSketch(dm).basis is not None
+        trace, _ = self._check(dm, y, 20)
+        assert trace.selected[0] == 8 and 40 not in trace.selected
+
+    def test_random_full_rank_design_has_no_basis(self):
+        rng = np.random.default_rng(9)
+        dm = normalize_columns(DesignMatrix.from_columns(rng.standard_normal((60, 120))))
+        y = rng.standard_normal(60)
+        assert algorithms._PglSketch(dm).basis is None
+        trace, steps = self._check(dm, y, 30)
+        assert trace.atoms_scanned == steps * dm.n
+
+    def test_target_orthogonal_to_every_live_atom(self):
+        base, _ = _sinc_design(100, 1.0, m=30)
+        # the atoms live on the first 30 rows, the target on the last 30
+        columns = np.vstack([base.columns, np.zeros((30, 100))]) * np.sqrt(2.0)
+        dm = normalize_columns(DesignMatrix.from_columns(columns))
+        y = np.concatenate([np.zeros(30), np.random.default_rng(2).standard_normal(30)])
+        trace, _ = self._check(dm, y, 10)
+        assert trace.termination_reason == NO_ACTIVE_ATOM and trace.k_fitted == 0
+        assert trace.atoms_scanned == dm.n
+
+    def test_atoms_told_apart_only_by_their_tails(self):
+        # 64 atoms c + 1e-5 w_k: a 32-wide basis holds c and some of the w_k,
+        # so the order of the rest shows only in their tails
+        rng = np.random.default_rng(11)
+        c, w = rng.standard_normal(100), rng.standard_normal((100, 64))
+        dm = normalize_columns(DesignMatrix.from_columns(c[:, None] + 1e-5 * w))
+        assert algorithms._PglSketch(dm).basis is not None
+        trace, _ = self._check(dm, c + w[:, 5], 10)
+        assert trace.selected[0] == 5
+
+    @pytest.mark.parametrize("m", [100, 4000])
+    def test_rounding_margin_grows_with_m(self, m):
+        # a rank-3 design: every tail is at rounding level, so an atom's radius
+        # per unit of ‖a_j‖‖r‖ is the margin c_m = max(1e-12, (12√p + 14)γ_(m+3))
+        rng = np.random.default_rng(8)
+        dm = normalize_columns(DesignMatrix.from_columns(
+            rng.standard_normal((m, 3)) @ rng.standard_normal((3, 64))))
+        sketch = algorithms._PglSketch(dm)
+        p = sketch.basis.shape[1]
+        u = np.finfo(float).eps / 2
+        gamma = (m + 3) * u / (1 - (m + 3) * u)
+        expected = max(1e-12, (12 * np.sqrt(p) + 14) * gamma)
+        per_unit = sketch.radii / m  # the radii are in units of the residual's empirical norm
+        assert 0.99 * expected < per_unit.min() and per_unit.max() < 1.01 * expected
+        assert (expected == 1e-12) == (m == 100)
+
+    def test_steps_that_compute_several_blocks(self, monkeypatch):
+        dm, y = _sinc_design(400, 0.5)  # tails up to about 1e-5: wider bounds
+        counts = []  # ranges per step
+        blocks = algorithms._PglSketch.blocks
+
+        def spy(sketch, residual, residual_norm):
+            ranges = blocks(sketch, residual, residual_norm)
+            counts.append(len(ranges))
+            return ranges
+
+        monkeypatch.setattr(algorithms._PglSketch, "blocks", spy)
+        self._check(dm, y, 60)
+        assert max(counts) > 1
+
+    def test_blocks_are_aligned_capped_and_cover_every_candidate(self):
+        dm, y = _sinc_design(1002, 1.0)
+        sketch = algorithms._PglSketch(dm)
+        assert sketch.basis is not None
+        norm = empirical_norm(y)
+        for wide in ([], [3], [5, 6, 7, 8, 9], list(range(100, 700)), [0, 1001],
+                     list(range(1002))):
+            sketch.radii[wide] = 1e3  # candidates whatever the residual
+            ranges = sketch.blocks(y, norm)
+            if len(wide) == dm.n:
+                assert ranges == [(0, dm.n)]
+            covered = np.zeros(dm.n, dtype=bool)
+            for start, stop in ranges:
+                assert start % 4 == 0 and ((stop - start) % 4 == 0 or stop == dm.n)
+                assert stop - start <= 256 or (start, stop) == (0, dm.n)
+                covered[start:stop] = True
+            assert covered[wide].all()
+            sketch.radii[wide] = 0.0
 
 
 class TestFitTogl:

@@ -376,6 +376,27 @@ def test_config_file_values_parse_as_flags_do(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_csv_config_file_sigmas_are_not_checked_for_repeats(tmp_path, capsys):
+    inputs = np.random.default_rng(4).uniform(size=(30, 2))
+    rows = ["x0,x1,y"] + [f"{a},{b},{a - b}" for a, b in inputs]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    lines = f"path={data}\nmethods=ridge\nlambda-grid=1e-4:1:2\nsigma=0.5,0.5\n"
+    config.write_text(lines, encoding="utf-8")
+    # a csv sweep reads no noise levels, so a repeated one is no error there
+    assert main(["bench", "csv", "--config", str(config), "--no-timing"]) == 0
+    assert capsys.readouterr().err == ""
+    # a present key that does not parse still fails, on either task
+    config.write_text(lines + "m_train=1.5\n", encoding="utf-8")
+    assert main(["bench", "csv", "--config", str(config), "--no-timing"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    # and a sinc sweep still refuses the repeat
+    config.write_text("methods=ridge\nlambda-grid=1e-4:1:2\nsigma=0.5,0.5\n", encoding="utf-8")
+    assert main(["bench", "sinc", *_SMALL, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: sigmas lists 0.5 twice\n"
+
+
 @pytest.mark.parametrize(
     "parse, at_ceiling, above",
     [

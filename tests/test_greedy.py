@@ -11,7 +11,6 @@ from greedyreg.core import (
     RESIDUAL_RATIO,
     ZERO_RESIDUAL,
 )
-from greedyreg.data import load_csv
 from greedyreg.greedy import (
     CandidatePool,
     Criterion,
@@ -334,39 +333,10 @@ class TestDeltaValidation:
                 validate_delta(bad)
 
 
-def _benchmark_designs(tmp_path_factory):
-    """The normalized designs of the sinc-greedy and csv-greedy benchmark cells (seed 1), with y."""
-    import os
-    import sys
-
-    from greedyreg.bench import ExperimentConfig, _prepare_cell
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sys.path.insert(0, root)
-    try:
-        from perfbench.workloads import write_csv
-    finally:
-        sys.path.remove(root)
-    path = tmp_path_factory.mktemp("csv") / "data.csv"
-    write_csv(path, 1)
-    sinc = ExperimentConfig(task="sinc", methods=[parse_method("ogl:max")], seeds=[1],
-                            m_train=500, m_test=500, n=1000, eta=1.0, sigmas=[0.1])
-    csv = ExperimentConfig(task="csv", methods=[parse_method("ogl:max")], seeds=[1],
-                           csv_path=str(path))
-    full = load_csv(str(path), "last", True)
-    cells = [_prepare_cell(sinc, None, 0, 1), _prepare_cell(csv, full, 0, 1)]
-    return [(cell.dm_fit, cell.y) for cell in cells]
-
-
-@pytest.fixture(scope="module")
-def benchmark_designs(tmp_path_factory):
-    return _benchmark_designs(tmp_path_factory)
-
-
 class TestBlockProducts:
-    """What the windowed "first" scans rest on: on this BLAS, a block product that
-    starts at a multiple of 4 and is a multiple of 4 wide, or ends the dictionary,
-    gives the full product's entries bit for bit."""
+    """What the windowed "first" scans and pure greedy's exact blocks rest on: on
+    this BLAS, a block product that starts at a multiple of 4 and is a multiple
+    of 4 wide, or ends the dictionary, gives the full product's entries bit for bit."""
 
     @pytest.mark.parametrize("which", [0, 1], ids=["sinc-greedy", "csv-greedy"])
     def test_aligned_blocks_equal_the_full_product(self, benchmark_designs, which):

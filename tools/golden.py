@@ -117,6 +117,16 @@ def golden_runs(outdir, workdir):
         ),
         ("bench-csv-config-file", ["bench", "csv", "--config", csv_config_path, "--no-timing"],
          False),
+        # pure greedy on a full-rank design, whose sketch keeps no basis
+        ("bench-csv-pgl", ["bench", "csv", "--path", csv_path, "--target", "last",
+                           "--methods", "pgl", "--no-timing"], False),
+        # an eta small enough that the design's numerical rank exceeds the sketch's
+        (
+            "bench-pgl-narrow-atoms",
+            ["bench", "sinc", *SINC_SMALL, "--eta", "0.1", "--sigma", "0.1,1", "--seeds", "2",
+             "--methods", "pgl", "--no-timing"],
+            False,
+        ),
     ]
     return runs
 
