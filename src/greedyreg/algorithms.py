@@ -6,10 +6,12 @@ correlation-scaled step for pure greedy), stop per a termination rule.
 Every fit records a full trace so one run yields the model at every
 prefix length k for parameter sweeps; an orthogonal fit's trace is its
 QR factor, solved for a prefix's coefficients only when one is read.
-Orthogonal fits of one target that select the same atoms share their
-appends and correlations through a FitTree, so a threshold sweep pays
-for each distinct prefix once.  The max fits of one target need no
-tree: each is a cut of one unthresholded path (MaxPath).  Pure greedy
+Every orthogonal fit is a cut of a walk (_Walk), the one loop that
+applies the stop rule.  Orthogonal fits of one target that select the
+same atoms share their appends and correlations through a FitTree, so a
+threshold sweep pays for each distinct prefix once.  The max fits of
+one target need no tree: each is a cut of one unthresholded walk
+(MaxPath).  Pure greedy
 computes exactly only the correlations that a certified low-rank sketch
 of the design cannot rule out (_PglSketch).
 """
@@ -33,6 +35,7 @@ from .greedy import (
     CandidatePool,
     Criterion,
     ResidualScan,
+    block_width,
     correlation,
     select_atom,
     validate_delta,
@@ -71,8 +74,9 @@ class FitTrace:
     atom-residual correlations the selection computed (not those it
     read from a FitTree that an earlier fit filled; a cut of a MaxPath
     counts those its stretch of the path computed; pure greedy counts
-    those it computed exactly, not its sketch's bounds).  ``seconds`` is the
-    fit's own clock when it keeps one (a MaxPath cut), else None.
+    those it computed exactly, not its sketch's bounds).  ``seconds`` is
+    an orthogonal fit's own clock, its walk's where it stops plus the cut
+    (not what a MaxPath ran for other cuts); None for pure greedy.
     """
 
     selected: list
@@ -183,27 +187,6 @@ class FitTree:
         return True
 
 
-def _new_child(tree: FitTree, node: _Node, state: ProjectionState, idx: int):
-    """Append atom ``idx`` to ``state``, which holds ``node``'s residual, and record the child.
-
-    Returns the child, or None (state untouched) when the column is degenerate.
-    """
-    dm = tree.dm
-    column = dm.columns[:, idx]
-    # The append rebinds the residual and never writes into it.
-    residual, residual_norm = state.residual, state.residual_norm
-    try:
-        project_append(state, column)
-    except DegenerateColumn:
-        tree.record(node, idx, None, 0)
-        return None
-    child = _Node(correlation(residual, residual_norm, column), dm.n)
-    # basis column and residual, factor column, correlations
-    if tree.record(node, idx, child, 2 * dm.m + state.k + dm.n):
-        child.append = state.last_append()  # only a kept node is replayed
-    return child
-
-
 def _stop_reason(residual_norm, y_norm, k, k_cap, ratio_delta):
     """The OGL family's stop rule, checked before each selection: the reason, or None to go on."""
     if residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
@@ -221,26 +204,77 @@ def _no_pick_reason(criterion: Criterion, atoms_left: bool):
 
 
 class _Walk:
-    """One OGL-family loop between its selections: the atoms kept and tried, and the residual."""
+    """The picks and attempts of one OGL-family fit over a FitTree, made as its cuts need them.
+
+    Per pick it records the atom's correlation as its selection scan
+    computed it (None when no atom was left), per attempt whether it kept
+    the atom, each with the walk's clock and correlations scanned so far.
+    ``cut``, the one loop that applies a stop rule, reads these records
+    and has the walk make a pick or attempt only when the rule asks for a
+    new one: a lone fit is one cut, each max fit of a MaxPath another.
+    Past the numerical rank most max picks are atoms the pool flagged as
+    clearly degenerate.  Where the pool's head is the pick and the tree
+    records nothing (a max walk, unrecorded), the walk picks and skips a
+    run of them at once, recorded one by one at the clock of the run's
+    end.  A run stops before the first pick at or below the calling cut's
+    delta, so it makes no attempt a cut did not need.
+    """
 
     def __init__(self, tree: FitTree, criterion: Criterion, rng):
+        start = time.perf_counter()
         self.tree, self.criterion, self.rng = tree, criterion, rng
         self.node = tree.root
         self.state = ProjectionState(tree.y)
         self.excluded = np.zeros(tree.dm.n, dtype=bool)
+        self.live = int(np.count_nonzero(tree.dm.live))  # each attempt tries another live atom
         self.pool = CandidatePool(self.node.scan)
+        self.runs = criterion.kind == "max" and not tree.root.kept  # skips flagged runs at once
         self.selected, self.residual_norms, self.selected_corrs = [], [], []
         self.attempts = 0
+        self._picked = None  # the atom of the latest pick
+        self._picks = []  # per pick: (correlation, None when no atom was left; clock; scanned)
+        self._tries = []  # per attempt: (whether it kept the atom; clock; scanned)
+        self._setup = (time.perf_counter() - start, 0)  # (clock, scanned) before the first pick
+        self._clock = self._setup[0]
 
-    def pick(self):
-        """The atom to try next on the current residual, or None when the criterion offers none."""
-        state = self.state
-        return select_atom(
-            self.tree.dm, state.residual, state.residual_norm, self.criterion, self.excluded,
-            self.rng, self.pool,
-        )
+    def _mark(self, start: float):
+        """Run the walk's clock on by the time since ``start``: (clock, correlations scanned)."""
+        self._clock = self._clock + time.perf_counter() - start
+        return self._clock, self.pool.scanned
 
-    def take(self, idx: int) -> bool:
+    def _top(self, j: int, delta):
+        """Pick j's correlation, None when no atom was left; the walk makes pick j if it has not.
+
+        Where flagged atoms above ``delta`` lead the pool of a walk that
+        skips runs, it picks and skips their run at once.
+        """
+        if j == len(self._picks):
+            start, pool = time.perf_counter(), self.pool
+            run = pool.pop_flagged(delta) if self.runs else ()
+            if len(run):
+                self.attempts += run.size
+                self.excluded[run] = True
+                mark = self._mark(start)
+                self._picks.extend((top, *mark) for top in pool.scan.values[run].tolist())
+                self._tries.extend([(False, *mark)] * run.size)
+            else:
+                state = self.state
+                self._picked = select_atom(
+                    self.tree.dm, state.residual, state.residual_norm, self.criterion,
+                    self.excluded, self.rng, pool,
+                )
+                top = None if self._picked is None else float(pool.scan.values[self._picked])
+                self._picks.append((top, *self._mark(start)))
+        return self._picks[j][0]
+
+    def _taken(self, j: int) -> bool:
+        """Whether attempt j kept its atom; the walk tries its pending pick if it has not."""
+        if j == len(self._tries):
+            start = time.perf_counter()
+            self._tries.append((self._take(self._picked), *self._mark(start)))
+        return self._tries[j][0]
+
+    def _take(self, idx: int) -> bool:
         """Try atom ``idx``: True if appended, False if its degenerate column was skipped.
 
         An atom the pool flagged is skipped without an append; an append
@@ -248,23 +282,20 @@ class _Walk:
         """
         self.attempts += 1
         self.excluded[idx] = True
-        node, pool = self.node, self.pool
+        tree, node, pool = self.tree, self.node, self.pool
         child = node.children.get(idx, node)
-        failed = False
-        if child is node:
-            if pool.flagged(idx):
-                child = None
-                self.tree.record(node, idx, None, 0)
-            else:
-                child = _new_child(self.tree, node, self.state, idx)
-                failed = child is None
+        new = child is node  # the tree holds nothing for idx here
+        if new:
+            child = None if pool.flagged(idx) else self._append(idx)
         elif child is not None:
             replay_append(self.state, child.append)
         if child is None:
             # The residual is unchanged, so the pool still holds its candidates.
             pool.skip(idx)
-            if failed:
-                pool.screen(self._degenerate)
+            if new:
+                tree.record(node, idx, None, 0)
+                if not pool.flagged(idx):  # its append failed
+                    pool.screen(self._degenerate)
             return False
         self.node = child
         pool.reset(child.scan)
@@ -273,136 +304,88 @@ class _Walk:
         self.selected_corrs.append(child.corr)
         return True
 
+    def _append(self, idx: int):
+        """Append atom ``idx`` and record its node; None (state untouched) if degenerate."""
+        dm, state = self.tree.dm, self.state
+        column = dm.columns[:, idx]
+        # The append rebinds the residual and never writes into it.
+        residual, residual_norm = state.residual, state.residual_norm
+        try:
+            project_append(state, column)
+        except DegenerateColumn:
+            return None
+        child = _Node(correlation(residual, residual_norm, column), dm.n)
+        # basis column and residual, factor column, correlations
+        if self.tree.record(self.node, idx, child, 2 * dm.m + state.k + dm.n):
+            child.append = state.last_append()  # only a kept node is replayed
+        return child
+
     def _degenerate(self, atoms):
         return clearly_degenerate(self.state, np.take(self.tree.dm.columns, atoms, axis=1))
 
-
-class MaxPath:
-    """The unthresholded max OGL path of one target on one design; every max fit is a cut of it.
-
-    A max fit, capped or not, thresholded at any delta or not, with or
-    without the residual-ratio stop, follows this path until its stop
-    rule fires: while the path's pick correlates above delta it is also
-    the thresholded pick (the stable order of the atoms above delta is
-    a prefix of the full order), and both skip the same degenerate
-    columns.  So the path keeps one record per pick (the picked atom's
-    correlation as its selection scan computed it) and one per attempt
-    (whether it kept the atom), each with the path's clock and the
-    correlations it had scanned once it was made.  A cut reads the
-    fit's trace off these records bit for bit, and shares the path's
-    QR factor for prefix solves.  The path runs only as far as its cuts
-    have needed: a pick at or below a cut's delta waits untried until a
-    smaller delta asks for it.  Past the design's numerical rank most
-    picks are atoms the pool flagged as clearly degenerate; the path
-    picks and skips a run of them in one step, recording each as it
-    would one by one, all at the clock of the run's end.  A run stops
-    before the first pick at or below the delta that called it, so it
-    makes no attempt a cut did not need.
-    """
-
-    def __init__(self, dm: DesignMatrix, y):
-        start = time.perf_counter()
-        self._walk = _Walk(FitTree._unrecorded(dm, y), Criterion("max"), None)
-        self._picked = None  # the atom of the latest pick
-        self._picks = []  # per pick: (correlation, None when no atom was left; clock; scanned)
-        self._tries = []  # per attempt: (whether it kept the atom; clock; scanned)
-        self._setup = (time.perf_counter() - start, 0)  # (clock, scanned) before the first pick
-        self._clock = self._setup[0]
-
-    def check(self, dm: DesignMatrix, y) -> "MaxPath":
-        self._walk.tree.check(dm, y)
-        return self
-
-    def _mark(self, start: float):
-        """Run the path's clock on by the time since ``start``: (clock, correlations scanned)."""
-        self._clock = self._clock + time.perf_counter() - start
-        return self._clock, self._walk.pool.scanned
-
-    def _top(self, j: int, delta):
-        """Pick j's correlation, None when no atom was left; the path makes pick j if it has not.
-
-        Where flagged atoms above ``delta`` lead the pool, it picks and skips their run at once.
-        """
-        if j == len(self._picks):
-            start, walk = time.perf_counter(), self._walk
-            run = walk.pool.pop_flagged(delta)
-            if run.size:
-                walk.attempts += run.size
-                walk.excluded[run] = True
-                mark = self._mark(start)
-                self._picks.extend((top, *mark) for top in walk.pool.scan.values[run].tolist())
-                self._tries.extend([(False, *mark)] * run.size)
-            else:
-                self._picked = walk.pick()
-                top = None if self._picked is None else float(walk.pool.scan.values[self._picked])
-                self._picks.append((top, *self._mark(start)))
-        return self._picks[j][0]
-
-    def _taken(self, j: int) -> bool:
-        """Whether attempt j kept its atom; the path tries its pending pick if it has not."""
-        if j == len(self._tries):
-            start = time.perf_counter()
-            kept = self._walk.take(self._picked)
-            self._tries.append((kept, *self._mark(start)))
-        return self._tries[j][0]
-
     def cut(self, criterion: Criterion, k_cap=None, ratio_delta=None) -> FitTrace:
-        """The trace of a max fit with this cap and ratio stop, as if run alone.
+        """The trace of a fit with this criterion, cap and ratio stop, as if run alone.
 
-        Its ``seconds`` are the path's clock where the fit stops plus the
-        cut itself, not what the path ran for other cuts.
+        Its ``seconds`` are the walk's clock where the fit stops plus the
+        cut itself, not what the walk ran for other cuts.
         """
-        if criterion.kind != "max":
-            raise ValueError(f"a MaxPath serves the max criterion, not {criterion.kind!r}")
         start, ran = time.perf_counter(), self._clock
-        walk, delta, y_norm = self._walk, criterion.delta, self._walk.tree.y_norm
+        delta, y_norm = criterion.delta, self.tree.y_norm
         k = j = 0  # atoms kept, attempts made
         while True:
-            norm = walk.residual_norms[k - 1] if k else y_norm
+            norm = self.residual_norms[k - 1] if k else y_norm
             reason = _stop_reason(norm, y_norm, k, k_cap, ratio_delta)
             if reason is not None:
                 seconds, scanned = self._tries[j - 1][1:] if j else self._setup
                 break
             top = self._top(j, delta)
             if top is None or (delta is not None and not top > delta):
-                reason = _no_pick_reason(criterion, top is not None)
+                reason = _no_pick_reason(criterion, j < self.live)
                 seconds, scanned = self._picks[j][1:]
                 break
             k += self._taken(j)
             j += 1
         own = time.perf_counter() - start - (self._clock - ran)
         return FitTrace(
-            walk.selected[:k], None, walk.residual_norms[:k], walk.selected_corrs[:k], reason,
-            j, scanned, walk.tree.dm, walk.state, seconds + own,
+            self.selected[:k], None, self.residual_norms[:k], self.selected_corrs[:k], reason,
+            j, scanned, self.tree.dm, self.state, seconds + own,
         )
+
+
+class MaxPath(_Walk):
+    """The unthresholded max walk of one target on one design; every max fit is a cut of it.
+
+    A max fit, capped or not, thresholded at any delta or not, with or
+    without the residual-ratio stop, follows this walk until its stop
+    rule fires: while the walk's pick correlates above delta it is also
+    the thresholded pick (the stable order of the atoms above delta is
+    a prefix of the full order), and both skip the same degenerate
+    columns.  So a cut reads the fit's trace off the walk's records bit
+    for bit, and shares its QR factor for prefix solves.  A pick at or
+    below a cut's delta waits untried until a smaller delta asks for it.
+    """
+
+    def __init__(self, dm: DesignMatrix, y):
+        super().__init__(FitTree._unrecorded(dm, y), Criterion("max"), None)
+
+    def cut(self, criterion: Criterion, k_cap=None, ratio_delta=None) -> FitTrace:
+        if criterion.kind != "max":
+            raise ValueError(f"a MaxPath serves the max criterion, not {criterion.kind!r}")
+        return super().cut(criterion, k_cap, ratio_delta)
 
 
 def _fit_projection(dm, y, criterion, k_cap, ratio_delta=None, rng=None, tree=None):
-    """Shared OGL-family loop; k_cap and ratio_delta select the stop rule's clauses.
+    """An OGL-family fit, a cut of its walk; k_cap and ratio_delta select the stop rule's clauses.
 
-    ``tree`` is a FitTree the fit shares, or a MaxPath it is cut from.
+    ``tree`` is a FitTree the fit's walk records into, or a MaxPath it is cut from.
     """
     if k_cap is not None and not 1 <= k_cap <= dm.n:
         raise ValueError(f"k_max must be in [1, {dm.n}], got {k_cap}")
-    if isinstance(tree, MaxPath):
-        return tree.check(dm, y).cut(criterion, k_cap, ratio_delta)
-    walk = _Walk(FitTree._unrecorded(dm, y) if tree is None else tree.check(dm, y), criterion, rng)
-    y_norm = walk.tree.y_norm
-    while True:
-        reason = _stop_reason(
-            walk.state.residual_norm, y_norm, len(walk.selected), k_cap, ratio_delta
-        )
-        if reason is not None:
-            break
-        idx = walk.pick()
-        if idx is None:
-            reason = _no_pick_reason(criterion, bool((dm.live & ~walk.excluded).any()))
-            break
-        walk.take(idx)
-    return FitTrace(
-        walk.selected, None, walk.residual_norms, walk.selected_corrs, reason, walk.attempts,
-        walk.pool.scanned, dm, walk.state,
-    )
+    if tree is None:
+        tree = FitTree._unrecorded(dm, y)
+    walk = tree if isinstance(tree, MaxPath) else _Walk(tree, criterion, rng)
+    walk.tree.check(dm, y)
+    return walk.cut(criterion, k_cap, ratio_delta)
 
 
 def fit_ogl(
@@ -440,14 +423,12 @@ def fit_delta_togl(
     )
 
 
-# Pure greedy's sketch (_PglSketch): the width of its range basis; the widest
-# block of atoms one of its products covers, a tail temporary or an exact
-# block short of the whole dictionary (capped like greedy's scan blocks, so
-# that the product runs on the calling thread and keeps the full product's
-# bits); and the largest tail, as a fraction of its atom's norm, with which
-# the basis is kept.
+# Pure greedy's sketch (_PglSketch): the width of its range basis, and the
+# largest tail, as a fraction of its atom's norm, with which the basis is
+# kept.  Its tail temporaries and its exact blocks short of the whole
+# dictionary are at most greedy.block_width(m) atoms wide, like the scan
+# blocks, so that an exact block keeps the full product's bits.
 _SKETCH_RANK = 32
-_SKETCH_BLOCK = 256
 _SKETCH_TAIL = 1e-4
 
 
@@ -500,7 +481,7 @@ class _PglSketch:
 
     def __init__(self, dm: DesignMatrix):
         columns, (m, n) = dm.columns, dm.columns.shape
-        self.n = n
+        self.n, self.width = n, block_width(m)
         omega = np.random.default_rng(0).random((n, _SKETCH_RANK)) - 0.5
         basis, _ = np.linalg.qr(columns @ omega)
         p = basis.shape[1]
@@ -510,17 +491,18 @@ class _PglSketch:
         gamma = (m + 3) * u / (1 - (m + 3) * u)
         margin = max(1e-12, (12 * np.sqrt(p) + 14) * gamma)
         self.basis = None  # no basis: every step computes every atom
-        for start in range(0, n, _SKETCH_BLOCK):
-            block = columns[:, start : start + _SKETCH_BLOCK]
-            b = np.matmul(basis.T, block, out=coords[:, start : start + _SKETCH_BLOCK])
+        for start in range(0, n, self.width):
+            stop = start + self.width
+            block = columns[:, start:stop]
+            b = np.matmul(basis.T, block, out=coords[:, start:stop])
             tail = basis @ b
             np.subtract(block, tail, out=tail)
             tails = np.sqrt(np.einsum("ij,ij->j", tail, tail))
             norms = np.sqrt(np.einsum("ij,ij->j", block, block))
-            live = dm.live[start : start + _SKETCH_BLOCK]
+            live = dm.live[start:stop]
             if np.any(tails[live] > _SKETCH_TAIL * norms[live]):
                 return
-            radii[start : start + _SKETCH_BLOCK] = np.where(live, tails + margin * norms, 0.0)
+            radii[start:stop] = np.where(live, tails + margin * norms, 0.0)
         coords[:, ~dm.live] = 0.0
         # per unit of the residual's empirical norm, ‖r‖/√m
         self.basis, self.coords, self.radii = basis, coords, radii * np.sqrt(m)
@@ -546,7 +528,7 @@ class _PglSketch:
         n = self.n
         if runs == [[0, -(-n // 4)]]:
             return [(0, n)]
-        quads = _SKETCH_BLOCK // 4  # per block
+        quads = self.width // 4  # per block
         return [
             (4 * quad, min(4 * (quad + quads), 4 * end, n))
             for first, end in runs

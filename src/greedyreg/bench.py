@@ -405,7 +405,7 @@ def _run_method(run, grid, config, sigma_idx, method_idx):
             return algo.fit(dm, y, param, crit, rng, shared())
 
         result, seconds = time_fit(thunk)
-        if reads_path and result.seconds is not None:
+        if reads_path:
             # the path's clock where the fit stops, not what it ran for other fits
             seconds = result.seconds
         return result, seconds + extra

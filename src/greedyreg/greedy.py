@@ -11,11 +11,14 @@ The correlations of one residual live in a ResidualScan, filled in
 blocks as far as a scan needs them: a full scan fills it at once, a
 "first" scan block by block from the fit's first unexcluded atom until
 its first hit.  Nothing is computed twice for the same residual.  Every
-block starts at a multiple of 4 and, unless it ends the dictionary, is
-a multiple of 4 wide; on the OpenBLAS this was tested with, the product
+block short of the whole dictionary starts at a multiple of 4, is at
+most block_width(m) atoms wide and, unless it ends the dictionary, a
+multiple of 4 wide; on the OpenBLAS this was tested with, the product
 of such a block equals those entries of the full product bit for bit
-(tests/test_greedy.py checks it on the benchmark designs), so a
-correlation does not depend on which scan computed it.
+(tests/test_greedy.py checks it on the benchmark designs and at
+m=2000), so a correlation does not depend on which scan computed it.
+On two threads this also needs the full product to split its atoms at
+a multiple of 4; at n = 1500 it does not, and a few entries differ.
 
 A fit may pass a CandidatePool that it owns.  The pool keeps the
 current residual's scan and what the criterion made of it: the ranked
@@ -53,18 +56,20 @@ from .core import DesignMatrix
 CRITERION_KINDS = ("max", "max2", "max3", "rand", "first")
 _RANK = {"max": 1, "max2": 2, "max3": 3}
 
+# The widest block one product covers short of the whole dictionary
+# (block_width): width times m stays within 2**18.  On two OpenBLAS
+# threads a smaller gemv ran unthreaded and kept the full product's bits
+# (at m=2000 192 atoms did, 256 not); a threaded one did not always, and
+# waited about 8 ms for its worker in a fresh process (0.1 ms unthreaded).
+_MAX_BLOCK = 256
+
 # Blocks of a "first" scan: the first is _FIRST_BLOCK atoms wide and
 # each next one as wide as all before it in the scan's window, up to
-# _SCAN_BLOCK, so an early hit is cheap; all are multiples of 4.  The
-# cap keeps each product small enough that OpenBLAS runs it on the
-# calling thread (for m up to about 1800): a threaded product waits for
-# its worker thread, which in a fresh process on a two-core VM took
-# about 8 ms, against 0.1 ms for a 256-atom block.
+# block_width(m), so an early hit is cheap; all are multiples of 4.
 _FIRST_BLOCK = 16
-_SCAN_BLOCK = 256
 
 # Screens of a stalled residual: the first is _SCREEN_FIRST candidates
-# wide and each next one twice the last, up to _SCAN_BLOCK, which also
+# wide and each next one twice the last, up to _MAX_BLOCK, which also
 # bounds the temporaries of the batched product to a few m-by-256 arrays.
 _SCREEN_FIRST = 8
 
@@ -103,6 +108,11 @@ class Criterion:
         return self.delta is not None
 
 
+def block_width(m: int) -> int:
+    """The widest block of atoms, a multiple of 4, whose product keeps the full product's bits."""
+    return max(4, min(_MAX_BLOCK, 2**18 // m // 4 * 4))
+
+
 def correlation(residual, residual_norm: float, column) -> float:
     """|<residual, column>_m| / ||residual||_m."""
     if residual_norm <= 0:
@@ -127,14 +137,18 @@ class ResidualScan:
         """Compute the atoms of start..stop-1 outside the window; returns their number.
 
         The window must meet or touch the range, and ``start`` be a
-        multiple of 4.  One product computes the part below the window,
-        one the part above it.
+        multiple of 4.  The whole dictionary is one product, the full
+        product; any other part below or above the window is computed in
+        aligned blocks of at most block_width(m) atoms.
         """
         computed = 0
         for lo, hi in ((start, self.lo), (self.upto, stop)):
             if lo < hi:
-                block = dm.columns[:, lo:hi]
-                self.values[lo:hi] = np.abs(block.T @ residual) / (dm.m * residual_norm)
+                width = dm.n if hi - lo == dm.n else block_width(dm.m)
+                for piece in range(lo, hi, width):
+                    end = min(piece + width, hi)
+                    block = dm.columns[:, piece:end]
+                    self.values[piece:end] = np.abs(block.T @ residual) / (dm.m * residual_norm)
                 computed += hi - lo
         self.lo, self.upto = min(self.lo, start), max(self.upto, stop)
         return computed
@@ -195,7 +209,7 @@ class CandidatePool:
 
         ``degenerate(atoms)`` returns a boolean array: which of ``atoms``
         are clearly degenerate.  Each call screens a block twice as wide
-        as the one before, up to _SCAN_BLOCK.
+        as the one before, up to _MAX_BLOCK.
         """
         if self.order is None:
             return
@@ -206,7 +220,7 @@ class CandidatePool:
             self._flags = np.zeros(self.scan.values.shape[0], dtype=bool)
         self._flags[block] = degenerate(block)
         self.screened += block.size
-        self._width = min(2 * self._width, _SCAN_BLOCK)
+        self._width = min(2 * self._width, _MAX_BLOCK)
 
     def flagged(self, idx: int) -> bool:
         """Whether a screen found atom ``idx`` clearly degenerate."""
@@ -307,9 +321,10 @@ def _first_above(dm, residual, residual_norm, delta, mask, pool):
             scan.lo = scan.upto = start - start % 4
         elif start < scan.lo:
             pool.scanned += scan.cover(dm, residual, residual_norm, start - start % 4, scan.lo)
+    widest = block_width(dm.m)
     while start < dm.n:
         while start >= scan.upto:
-            width = min(max(scan.upto - scan.lo, _FIRST_BLOCK), _SCAN_BLOCK)
+            width = min(max(scan.upto - scan.lo, _FIRST_BLOCK), widest)
             stop = min(scan.upto + width, dm.n)
             pool.scanned += scan.cover(dm, residual, residual_norm, scan.upto, stop)
         stop = scan.upto

@@ -97,9 +97,9 @@ class ProjectionState:
     Keeps its own copy of the target as ``y``, an empirically
     orthonormal basis of the appended columns, the upper triangular
     factor mapping those raw columns onto it, and the residual y minus
-    its projection onto the selected span.  Single owner: one fit
-    mutates it via project_append, and its trace keeps it for prefix
-    solves; distinct fits never share a state.
+    its projection onto the selected span.  Single owner: one walk
+    mutates it via project_append, and the traces cut from that walk
+    keep it for prefix solves; distinct walks never share a state.
     """
 
     def __init__(self, y):

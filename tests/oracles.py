@@ -1,11 +1,24 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take the slow, obvious route (full least-squares
-re-solves, cyclic coordinate minimization) and share no code with the
-implementations they audit.
+re-solves, cyclic coordinate minimization, a fresh scan per attempt) and
+share no code with the implementations they audit.  fresh_scan_fit
+audits the orthogonal fits' walk, so it calls the library's one-attempt
+steps (select_atom without a pool, project_append) and nothing more.
 """
 
 import numpy as np
+
+from greedyreg.algorithms import ZERO_RESIDUAL_RTOL
+from greedyreg.core import (
+    DICTIONARY_EXHAUSTED,
+    FIXED_K,
+    NO_ACTIVE_ATOM,
+    RESIDUAL_RATIO,
+    ZERO_RESIDUAL,
+)
+from greedyreg.greedy import correlation, select_atom
+from greedyreg.linalg import DegenerateColumn, ProjectionState, empirical_norm, project_append
 
 
 def correlations(columns, residual):
@@ -177,3 +190,34 @@ def normalized_design(columns):
     """(raw column norms, columns scaled to unit empirical norm; dead ones untouched)."""
     norms = np.sqrt(np.mean(columns**2, axis=0))
     return norms, columns / np.where(norms >= 1e-12, norms, 1.0)
+
+
+def fresh_scan_fit(dm, y, criterion, k_cap, ratio_delta, rng):
+    """The projection loop with a fresh select_atom scan on every attempt."""
+    y_norm = empirical_norm(y)
+    state = ProjectionState(y)
+    excluded = np.zeros(dm.n, dtype=bool)
+    selected, norms, corrs = [], [], []
+    attempts = 0
+    while True:
+        if state.residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
+            return selected, norms, corrs, attempts, ZERO_RESIDUAL
+        if k_cap is not None and len(selected) >= k_cap:
+            return selected, norms, corrs, attempts, FIXED_K
+        if ratio_delta is not None and state.residual_norm <= ratio_delta * y_norm:
+            return selected, norms, corrs, attempts, RESIDUAL_RATIO
+        idx = select_atom(dm, state.residual, state.residual_norm, criterion, excluded, rng)
+        if idx is None:
+            active = criterion.thresholded and bool((dm.live & ~excluded).any())
+            reason = NO_ACTIVE_ATOM if active else DICTIONARY_EXHAUSTED
+            return selected, norms, corrs, attempts, reason
+        attempts += 1
+        corr = correlation(state.residual, state.residual_norm, dm.columns[:, idx])
+        excluded[idx] = True
+        try:
+            project_append(state, dm.columns[:, idx])
+        except DegenerateColumn:
+            continue
+        selected.append(idx)
+        norms.append(state.residual_norm)
+        corrs.append(corr)

@@ -5,7 +5,6 @@ import pytest
 
 from greedyreg import algorithms
 from greedyreg.algorithms import (
-    ZERO_RESIDUAL_RTOL,
     FitTree,
     IndexOutOfRange,
     MaxPath,
@@ -34,7 +33,7 @@ from greedyreg.dictionary import (
     evaluate_design,
     normalize_columns,
 )
-from greedyreg.greedy import Criterion, correlation, select_atom
+from greedyreg.greedy import Criterion
 from greedyreg.linalg import (
     DEGENERATE_TOL,
     DegenerateColumn,
@@ -54,7 +53,7 @@ def _random_unit_design(rng, m, n):
     return _unit_design(rng.standard_normal((m, n)))
 
 
-from oracles import correlations, full_scan_pgl, naive_omp
+from oracles import correlations, fresh_scan_fit, full_scan_pgl, naive_omp
 
 
 class TestFitOgl:
@@ -431,37 +430,6 @@ class TestFitDeltaTogl:
         assert t1.selected == t2.selected
 
 
-def _fresh_scan_fit(dm, y, criterion, k_cap, ratio_delta, rng):
-    """The projection loop with a fresh select_atom scan on every attempt."""
-    y_norm = empirical_norm(y)
-    state = ProjectionState(y)
-    excluded = np.zeros(dm.n, dtype=bool)
-    selected, norms, corrs = [], [], []
-    attempts = 0
-    while True:
-        if state.residual_norm < ZERO_RESIDUAL_RTOL * y_norm:
-            return selected, norms, corrs, attempts, ZERO_RESIDUAL
-        if k_cap is not None and len(selected) >= k_cap:
-            return selected, norms, corrs, attempts, FIXED_K
-        if ratio_delta is not None and state.residual_norm <= ratio_delta * y_norm:
-            return selected, norms, corrs, attempts, RESIDUAL_RATIO
-        idx = select_atom(dm, state.residual, state.residual_norm, criterion, excluded, rng)
-        if idx is None:
-            active = criterion.thresholded and bool((dm.live & ~excluded).any())
-            reason = NO_ACTIVE_ATOM if active else DICTIONARY_EXHAUSTED
-            return selected, norms, corrs, attempts, reason
-        attempts += 1
-        corr = correlation(state.residual, state.residual_norm, dm.columns[:, idx])
-        excluded[idx] = True
-        try:
-            project_append(state, dm.columns[:, idx])
-        except DegenerateColumn:
-            continue
-        selected.append(idx)
-        norms.append(state.residual_norm)
-        corrs.append(corr)
-
-
 def _low_rank_design():
     """A design of numerical rank about 25, so most attempts hit a degenerate
     column.  300 dead columns in front put every skip past the first scan
@@ -503,7 +471,7 @@ class TestCandidatePoolReuse:
         # unthresholded: run to the end of the dictionary; thresholded: delta-TOGL
         k_cap = dm.n if delta is None else None
         trace = _fit_projection(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
-        expected = _fresh_scan_fit(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
+        expected = fresh_scan_fit(dm, y, criterion, k_cap, delta, np.random.default_rng(7))
         assert _trace_facts(trace) == expected
         assert trace.degenerate_skips > 0
 
@@ -527,6 +495,9 @@ class TestFitTree:
             shared = fit_delta_togl(dm, y, delta, kind, np.random.default_rng(7), tree=tree)
             alone = fit_delta_togl(dm, y, delta, kind, np.random.default_rng(7))
             assert _trace_facts(shared) == _trace_facts(alone)
+            assert _trace_facts(alone) == fresh_scan_fit(
+                dm, y, Criterion(kind, delta), None, delta, np.random.default_rng(7)
+            )
             assert np.array_equal(shared.state.residual, alone.state.residual)
             assert np.array_equal(
                 shared.prefix_model(shared.k_fitted).coefficients,
@@ -646,7 +617,7 @@ class TestDegenerateScreen:
         appends = _counted_appends(monkeypatch)
         screens = _recorded_screens(monkeypatch)
         trace = _fit_projection(dm, y, Criterion(kind), dm.n, None, np.random.default_rng(7))
-        expected = _fresh_scan_fit(dm, y, Criterion(kind), dm.n, None, np.random.default_rng(7))
+        expected = fresh_scan_fit(dm, y, Criterion(kind), dm.n, None, np.random.default_rng(7))
         assert _trace_facts(trace) == expected
         # the screen fired: most skips made no append
         flagged = sum(sum(flags) for _, flags in screens)
@@ -694,7 +665,7 @@ class TestDegenerateScreen:
         counted_append = algorithms.project_append
 
         def append(state, column):
-            attempts_at_append.append(path._walk.attempts)
+            attempts_at_append.append(path.attempts)
             return counted_append(state, column)
 
         monkeypatch.setattr(algorithms, "project_append", append)
@@ -715,8 +686,20 @@ class TestDegenerateScreen:
         assert _all_fields(cut) == _all_fields(alone)
         assert cut.termination_reason == NO_ACTIVE_ATOM and cut.iterations == j
         # the path stopped at the pick: no attempt past it
-        assert fresh._walk.attempts == j and len(fresh._picks) == j + 1
+        assert fresh.attempts == j and len(fresh._picks) == j + 1
         assert len(appends) == len([a for a in attempts_at_append if a <= j])
+
+    def test_lone_max_fit_skips_flagged_runs_at_once(self, low_rank, monkeypatch):
+        dm, y = low_rank
+        calls = []
+        real_select = algorithms.select_atom
+        monkeypatch.setattr(
+            algorithms, "select_atom", lambda *args: calls.append(1) or real_select(*args)
+        )
+        trace = fit_ogl(dm, y, Criterion("max"), dm.n)
+        assert _trace_facts(trace) == fresh_scan_fit(dm, y, Criterion("max"), dm.n, None, None)
+        # runs of flagged atoms were picked and skipped without a selection each
+        assert len(calls) < trace.iterations
 
     def test_one_duplicate_in_a_full_rank_design_screens_one_block(self, monkeypatch):
         rng = np.random.default_rng(16)
@@ -737,7 +720,7 @@ class TestDegenerateScreen:
         spec = build_rbf_uniform(600, -np.pi, np.pi, 1.0, rng)
         dm = normalize_columns(evaluate_design(spec, train.inputs))
         y = train.targets
-        expected = _fresh_scan_fit(dm, y, Criterion("max"), 100, None, None)
+        expected = fresh_scan_fit(dm, y, Criterion("max"), 100, None, None)
         appends = _counted_appends(monkeypatch)
         path = MaxPath(dm, y)
         trace = fit_ogl(dm, y, Criterion("max"), 100, None, path)
@@ -778,14 +761,15 @@ class TestMaxPath:
         }
 
     @staticmethod
-    def _check(fit, path, reasons):
+    def _check(fit, path, reasons, expected):
         cut, alone = fit(path), fit(None)
         assert _all_fields(cut) == _all_fields(alone)
+        assert _trace_facts(cut) == expected
         assert np.array_equal(
             cut.prefix_model(cut.k_fitted).coefficients,
             alone.prefix_model(alone.k_fitted).coefficients,
         )
-        assert alone.seconds is None and cut.seconds >= 0.0
+        assert alone.seconds >= 0 and cut.seconds >= 0.0
         reasons.add((cut.termination_reason, cut.degenerate_skips > 0))
         return cut.iterations
 
@@ -794,15 +778,22 @@ class TestMaxPath:
         for name, (dm, y, deltas) in designs.items():
             path = MaxPath(dm, y)
             cap = min(dm.n, 300)
+            # each cut with the (criterion, k_cap, ratio_delta) of its direct fit
             cuts = [
-                lambda p, k=k: fit_ogl(dm, y, Criterion("max"), k, None, p)
+                (lambda p, k=k: fit_ogl(dm, y, Criterion("max"), k, None, p),
+                 (Criterion("max"), k, None))
                 for k in (1, 7, cap, dm.n)
             ]
             for delta in deltas:
                 crit = Criterion("max", delta)
-                cuts.append(lambda p, crit=crit: fit_togl(dm, y, crit, cap, None, p))
-                cuts.append(lambda p, delta=delta: fit_delta_togl(dm, y, delta, "max", None, p))
-            longest[name] = max(self._check(fit, path, reasons) for fit in cuts)
+                cuts.append((lambda p, crit=crit: fit_togl(dm, y, crit, cap, None, p),
+                             (crit, cap, None)))
+                cuts.append((lambda p, delta=delta: fit_delta_togl(dm, y, delta, "max", None, p),
+                             (crit, None, delta)))
+            longest[name] = max(
+                self._check(fit, path, reasons, fresh_scan_fit(dm, y, *stop, None))
+                for fit, stop in cuts
+            )
         kinds = {reason for reason, _ in reasons}
         assert {ZERO_RESIDUAL, FIXED_K, RESIDUAL_RATIO, DICTIONARY_EXHAUSTED} <= kinds
         assert (NO_ACTIVE_ATOM, True) in reasons  # stopped after degenerate skips

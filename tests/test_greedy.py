@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from greedyreg.algorithms import fit_delta_togl, fit_ogl, fit_togl
-from greedyreg.bench import parse_method
+from greedyreg import greedy
+from greedyreg.bench import ExperimentConfig, _prepare_cell, parse_method
 from greedyreg.core import (
     DesignMatrix,
     DICTIONARY_EXHAUSTED,
@@ -335,24 +336,53 @@ class TestDeltaValidation:
 
 class TestBlockProducts:
     """What the windowed "first" scans and pure greedy's exact blocks rest on: on
-    this BLAS, a block product that starts at a multiple of 4 and is a multiple
-    of 4 wide, or ends the dictionary, gives the full product's entries bit for bit."""
+    this BLAS, at its default thread count, a block product that starts at a
+    multiple of 4, is at most block_width(m) atoms wide and a multiple of 4 wide,
+    or ends the dictionary, gives the full product's entries bit for bit."""
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["sinc-greedy", "csv-greedy"])
-    def test_aligned_blocks_equal_the_full_product(self, benchmark_designs, which):
-        dm, y = benchmark_designs[which]
+    @pytest.fixture(scope="class")
+    def tall_design(self):
+        """A sinc design like sinc-greedy's at m = n = 2000, where a 256-atom product is threaded."""
+        config = ExperimentConfig(task="sinc", methods=[parse_method("ogl:max")], seeds=[1],
+                                  m_train=2000, m_test=10, n=2000, eta=1.0, sigmas=[0.1])
+        cell = _prepare_cell(config, None, 0, 1)
+        return cell.dm_fit, cell.y
+
+    @staticmethod
+    def _residuals(dm, y):
         trace = fit_ogl(dm, y, Criterion("max"), 12)
         residuals = [np.asarray(y, dtype=float), trace.state.residual]
         residuals.append(np.random.default_rng(2).standard_normal(dm.m))
+        return residuals
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["sinc-greedy", "csv-greedy", "m=2000"])
+    def test_aligned_blocks_equal_the_full_product(self, benchmark_designs, tall_design, which):
+        dm, y = [*benchmark_designs, tall_design][which]
+        widest = greedy.block_width(dm.m)
+        assert widest == (256 if dm.m <= 1024 else 128)
         columns, n = dm.columns, dm.n
         differing = 0
-        for r in residuals:
+        for r in self._residuals(dm, y):
             full = columns.T @ r
             for start in range(0, n, 4):
                 for width in (4, 16, 32, 64, 128, 256):
-                    stop = min(start + width, n)
+                    stop = min(start + min(width, widest), n)
                     differing += int(np.sum(columns[:, start:stop].T @ r != full[start:stop]))
         assert differing == 0
+
+    def test_scans_keep_the_full_products_bits_at_m_2000(self, tall_design):
+        # a "first" scan from every 13th aligned start, then a ranked scan of what it left below
+        dm, y = tall_design
+        for r in self._residuals(dm, y):
+            norm = empirical_norm(r)
+            expected = np.abs(dm.columns.T @ r) / (dm.m * norm)
+            for skip in range(0, dm.n, 52):
+                excluded = np.zeros(dm.n, dtype=bool)
+                excluded[:skip] = True
+                pool = CandidatePool()
+                assert select_atom(dm, r, norm, Criterion("first", 0.9999), excluded, pool=pool) is None
+                select_atom(dm, r, norm, Criterion("max"), pool=pool)
+                assert np.array_equal(pool.scan.values, expected)
 
 
 class TestFirstScanWindow:

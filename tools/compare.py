@@ -5,8 +5,10 @@ Usage, from the root of a checkout:
     python3 tools/compare.py PARENT_REV [--pairs N] [--interleave N] [--workloads a,b]
                              [--out FILE]
 
-Extracts PARENT_REV with ``git archive`` into a temporary directory and
-compares it with this checkout's working tree (the change):
+Extracts PARENT_REV with ``git archive`` into a temporary directory,
+copies this checkout's working tree there beside it (its tracked files,
+as modified: the change), and runs both sides from there, so that the
+two trees lie alike on disk:
 
 * golden: ``tools/golden.py`` of this checkout renders both trees
   (``--src``), and every file that differs is named with its first
@@ -72,6 +74,16 @@ def extract(rev, dest):
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def copy_worktree(dest):
+    """Copy this checkout's tracked files, as they are in its working tree, to ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True)
+    for name in listed.stdout.decode("utf-8").split("\0"):
+        source = os.path.join(ROOT, name)
+        if name and os.path.isfile(source):  # a tracked file deleted in the tree stays out
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copyfile(source, os.path.join(dest, name))
 
 
 def golden(trees, outdir):
@@ -252,10 +264,11 @@ def main(argv=None):
 
     workdir = tempfile.mkdtemp(prefix="compare-")
     try:
-        parent_tree = os.path.join(workdir, "parent")
-        commit = extract(args.parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
-        print(f"parent {commit} extracted to {parent_tree}", flush=True)
+        trees = {side: os.path.join(workdir, side) for side in ("parent", "change")}
+        commit = extract(args.parent_rev, trees["parent"])
+        copy_worktree(trees["change"])
+        print(f"parent {commit} extracted to {trees['parent']}, the change copied beside it",
+              flush=True)
 
         diffs = golden(trees, os.path.join(workdir, "golden"))
         print("golden: " + ("identical" if not diffs else f"{len(diffs)} files differ"))
